@@ -12,7 +12,7 @@
 //!    histograms and the Prometheus text must parse as exposition
 //!    lines;
 //! 5. runs the closed-loop latency-curve sweep (concurrency 4→512 via
-//!    `stco_serve::loadgen`, per-connection request scaling + warmup so
+//!    `stco_bench::load_curve`, per-connection request scaling + warmup so
 //!    every step measures steady state), cross-checks the server's
 //!    rolling-window p99 against the exact client-side p99 (tolerance
 //!    below), and writes the `stco-serving-curve/v2` document to
@@ -45,10 +45,10 @@
 
 use std::time::Instant;
 
+use stco_bench::load_curve::{load_curve_to_json, run_load_curve, LoadCurveConfig};
 use stco_obs::json::JsonValue;
 use stco_par::ParConfig;
 use stco_serve::demo::{demo_graph, demo_key, train_demo_model, DEMO_CELLS};
-use stco_serve::loadgen::{run_sweep, sweep_to_json, SweepConfig};
 use stco_serve::service::{BatchConfig, ModelService, PredictInput};
 use stco_serve::{Client, TcpServer};
 use stco_store::Registry;
@@ -242,7 +242,7 @@ fn main() {
     // 5. Latency-curve sweep + BENCH_serving.json. Requests scale with
     // concurrency (per-connection count + warmup) so every step
     // measures a steady-state window of comparable duration.
-    let sweep = SweepConfig {
+    let sweep = LoadCurveConfig {
         addr: addr.clone(),
         model: model_id.clone(),
         inputs: requests.iter().map(|(input, _)| input.clone()).collect(),
@@ -251,7 +251,7 @@ fn main() {
         warmup_per_conn: SWEEP_WARMUP_PER_CONN,
         deadline_ms: Some(10_000),
     };
-    let steps = run_sweep(&sweep).expect("load sweep");
+    let steps = run_load_curve(&sweep).expect("load sweep");
     let mut client_max_p99 = 0.0f64;
     for step in &steps {
         println!(
@@ -321,7 +321,7 @@ fn main() {
         client_max_p99 * 1e3
     );
 
-    let doc = sweep_to_json(ParConfig::current().threads, shard_count, !f32_mode, &steps);
+    let doc = load_curve_to_json(ParConfig::current().threads, shard_count, !f32_mode, &steps);
     stco_bench::validate_serving_curve(&doc, SWEEP_STEPS.len())
         .expect("BENCH_serving.json schema validation");
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json");

@@ -20,9 +20,9 @@
 //! Self-hosted runs honour `STCO_THREADS` for the forward pool and
 //! `STCO_SHARDS` for the worker-shard count, like the server binary.
 
+use stco_bench::load_curve::{load_curve_to_json, run_load_curve, LoadCurveConfig};
 use stco_par::ParConfig;
 use stco_serve::demo::{demo_graph, demo_key, train_demo_model, DEMO_CELLS};
-use stco_serve::loadgen::{run_sweep, sweep_to_json, SweepConfig};
 use stco_serve::service::{BatchConfig, ModelService, PredictInput};
 use stco_serve::{Client, TcpServer};
 use stco_store::Registry;
@@ -189,7 +189,7 @@ fn main() {
         _ => unreachable!("--addr always carries a model id"),
     };
 
-    let sweep = SweepConfig {
+    let sweep = LoadCurveConfig {
         addr: addr.clone(),
         model: model_id,
         inputs: demo_inputs(),
@@ -198,7 +198,7 @@ fn main() {
         warmup_per_conn: args.warmup_per_conn,
         deadline_ms: Some(args.deadline_ms).filter(|&ms| ms > 0),
     };
-    let steps = run_sweep(&sweep).expect("load sweep");
+    let steps = run_load_curve(&sweep).expect("load sweep");
 
     println!(
         "{:>11} {:>8} {:>7} {:>6} {:>12} {:>12} {:>11} {:>11} {:>14}",
@@ -234,7 +234,7 @@ fn main() {
         let shards = Client::connect(&addr)
             .and_then(|mut c| c.stats())
             .map_or(1, |s| s.shards.max(1));
-        let doc = sweep_to_json(ParConfig::current().threads, shards, false, &steps);
+        let doc = load_curve_to_json(ParConfig::current().threads, shards, false, &steps);
         // Single steps (or user-chosen step lists) are fine here; only
         // monotone concurrency and field consistency are enforced.
         stco_bench::validate_serving_curve(&doc, 1).expect("serving curve schema");

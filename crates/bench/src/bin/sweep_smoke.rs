@@ -9,7 +9,7 @@
 //!    a bitwise-identical Pareto front.
 //! 2. **Remote leg** — the synthetic demo spec served through a
 //!    [`SweepQueue`] attached to a live `TcpServer`, drained by two
-//!    concurrent workers over the `sweep` wire op. The gate: the
+//!    concurrent workers over the `sweep` extension. The gate: the
 //!    server-journaled front bitwise-matches a local engine run.
 //! 3. **Ablation leg** — GP-lite BayesOpt vs the ε-greedy Q-learning
 //!    agent over every (technology, benchmark) cell of a 5³ synthetic
@@ -31,11 +31,11 @@ use stco_core::flow::TechnologyStage;
 use stco_core::rl::AgentConfig;
 use stco_obs::json::JsonValue;
 use stco_par::ParConfig;
-use stco_serve::{BatchConfig, Client, ModelService, SweepBackend, TcpServer};
+use stco_serve::{BatchConfig, Client, ModelService, TcpServer};
 use stco_store::Registry;
 use stco_sweep::{
-    explorer_ablation, front_fingerprint, pareto_front, run_remote_worker, BayesOptConfig,
-    FlowEval, SweepEngine, SweepQueue, SweepSpec, SyntheticEval,
+    explorer_ablation, front_fingerprint, pareto_front, run_remote_worker, sweep_status,
+    BayesOptConfig, FlowEval, SweepEngine, SweepQueue, SweepSpec, SyntheticEval,
 };
 use stco_system::bench_gen::Benchmark;
 use stco_tcad::materials::Technology;
@@ -153,7 +153,7 @@ fn main() {
         resumed_run.resumed, resumed_run.executed
     );
 
-    // 2. Remote leg: two workers over the sweep wire op.
+    // 2. Remote leg: two workers over the `sweep` extension.
     let rspec = remote_spec();
     let local = SweepEngine::new(&rspec, scratch_registry(&base, "remote-local"))
         .expect("local engine")
@@ -164,8 +164,8 @@ fn main() {
     let service = ModelService::start(None, BatchConfig::default());
     let (queue, _) =
         SweepQueue::open(&rspec, scratch_registry(&base, "remote-server")).expect("open queue");
-    service.attach_sweep(Arc::clone(&queue) as Arc<dyn SweepBackend>);
     let server = TcpServer::start("127.0.0.1:0", Arc::clone(&service)).expect("bind server");
+    server.attach("sweep", queue.clone());
     let addr = server.addr().to_string();
     let handles: Vec<_> = (0..REMOTE_WORKERS)
         .map(|w| {
@@ -181,10 +181,8 @@ fn main() {
         .map(|h| h.join().expect("worker thread").expect("remote worker"))
         .sum();
     assert_eq!(completed, rspec.scenario_count());
-    let status = Client::connect(&addr)
-        .expect("status client")
-        .sweep_status()
-        .expect("wire status");
+    let status =
+        sweep_status(&mut Client::connect(&addr).expect("status client")).expect("wire status");
     assert_eq!(status.completed, rspec.scenario_count());
     server.stop();
     service.shutdown();

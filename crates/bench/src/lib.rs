@@ -4,6 +4,11 @@
 //! Every binary honours a `STCO_SCALE` environment variable:
 //! `STCO_SCALE=paper` runs closer to paper scale (slow), anything else
 //! (or unset) runs the scaled-down defaults documented in EXPERIMENTS.md.
+//!
+//! [`load_curve`] is the closed-loop load generator the serving benches
+//! drive against a running `stco-serve` endpoint.
+
+pub mod load_curve;
 
 use std::path::PathBuf;
 
@@ -158,7 +163,7 @@ pub fn fmt_seconds(s: f64) -> String {
 
 /// Validates a `BENCH_serving.json` document against the
 /// `stco-serving-curve/v2` schema emitted by
-/// [`stco_serve::loadgen::sweep_to_json`]: required top-level fields
+/// [`load_curve::load_curve_to_json`]: required top-level fields
 /// (including the worker shard count), at least `min_steps` sweep
 /// steps with strictly increasing concurrency, and internally
 /// consistent per-step latencies (`p50 <= p99`, non-negative rates
@@ -389,8 +394,8 @@ mod tests {
     }
 
     fn demo_curve(step_count: usize) -> stco_obs::json::JsonValue {
-        let steps: Vec<stco_serve::LoadStep> = (0..step_count)
-            .map(|i| stco_serve::LoadStep {
+        let steps: Vec<load_curve::LoadStep> = (0..step_count)
+            .map(|i| load_curve::LoadStep {
                 concurrency: 4 << i,
                 ok: 64,
                 errors: 0,
@@ -404,7 +409,7 @@ mod tests {
                 server_window_p99_seconds: Some(0.040),
             })
             .collect();
-        stco_serve::loadgen::sweep_to_json(4, 2, true, &steps)
+        load_curve::load_curve_to_json(4, 2, true, &steps)
     }
 
     #[test]
@@ -426,7 +431,7 @@ mod tests {
         assert!(err.contains("schema"), "{err}");
 
         // p99 below p50 must be rejected.
-        let mut steps = vec![stco_serve::LoadStep {
+        let mut steps = vec![load_curve::LoadStep {
             concurrency: 4,
             ok: 1,
             errors: 0,
@@ -439,14 +444,14 @@ mod tests {
             client_mean_seconds: 0.5,
             server_window_p99_seconds: None,
         }];
-        let doc = stco_serve::loadgen::sweep_to_json(1, 1, true, &steps);
+        let doc = load_curve::load_curve_to_json(1, 1, true, &steps);
         let err = validate_serving_curve(&doc, 1).expect_err("inconsistent quantiles");
         assert!(err.contains("quantiles"), "{err}");
 
         // Non-increasing concurrency must be rejected.
         steps[0].client_p99_seconds = 1.0;
         steps.push(steps[0].clone());
-        let doc = stco_serve::loadgen::sweep_to_json(1, 1, true, &steps);
+        let doc = load_curve::load_curve_to_json(1, 1, true, &steps);
         let err = validate_serving_curve(&doc, 1).expect_err("flat concurrency");
         assert!(err.contains("concurrency"), "{err}");
     }

@@ -1,6 +1,6 @@
 //! Closed-loop load generation against a running serve endpoint.
 //!
-//! [`run_sweep`] drives a concurrency sweep: for each step it spawns
+//! [`run_load_curve`] drives a concurrency sweep: for each step it spawns
 //! `concurrency` closed-loop workers (each with its own TCP
 //! connection, firing the next request as soon as the previous reply
 //! lands) and measures client-side latency per request.
@@ -8,8 +8,8 @@
 //! # Steady-state measurement
 //!
 //! Work scales **with** concurrency: every worker runs
-//! [`SweepConfig::warmup_per_conn`] unmeasured requests, synchronizes
-//! on a barrier, then runs [`SweepConfig::requests_per_conn`] measured
+//! [`LoadCurveConfig::warmup_per_conn`] unmeasured requests, synchronizes
+//! on a barrier, then runs [`LoadCurveConfig::requests_per_conn`] measured
 //! requests; the step's wall clock is barrier-to-barrier. The warmup
 //! puts connections, shard queues and batch formation in steady state
 //! before the clock starts, and the per-connection request count keeps
@@ -46,13 +46,11 @@ use std::time::Instant;
 
 use stco_obs::json::JsonValue;
 
-use crate::client::Client;
-use crate::service::PredictInput;
-use crate::{Result, ServeError};
+use stco_serve::{Client, PredictInput, Result, ServeError};
 
 /// One concurrency sweep against a serve endpoint.
 #[derive(Debug, Clone)]
-pub struct SweepConfig {
+pub struct LoadCurveConfig {
     /// Server address, e.g. `"127.0.0.1:7878"`.
     pub addr: String,
     /// Loaded model id to predict against.
@@ -142,7 +140,7 @@ fn is_shed(e: &ServeError) -> bool {
 }
 
 /// Runs the full concurrency sweep, one [`LoadStep`] per entry in
-/// [`SweepConfig::steps`].
+/// [`LoadCurveConfig::steps`].
 ///
 /// # Errors
 ///
@@ -151,9 +149,9 @@ fn is_shed(e: &ServeError) -> bool {
 /// `metrics` probe. Per-request predict failures do *not* abort the
 /// sweep — they land in [`LoadStep::errors`] (or [`LoadStep::shed`]
 /// for typed admission rejects).
-pub fn run_sweep(config: &SweepConfig) -> Result<Vec<LoadStep>> {
+pub fn run_load_curve(config: &LoadCurveConfig) -> Result<Vec<LoadStep>> {
     let _span = stco_obs::span!(
-        "serve.load_sweep",
+        "bench.load_curve",
         steps = config.steps.len(),
         requests_per_conn = config.requests_per_conn,
         warmup_per_conn = config.warmup_per_conn
@@ -168,7 +166,7 @@ pub fn run_sweep(config: &SweepConfig) -> Result<Vec<LoadStep>> {
     for &concurrency in &config.steps {
         let step = run_step(config, concurrency.max(1), &mut admin)?;
         stco_obs::event!(
-            "serve.load_step",
+            "bench.load_step",
             concurrency = step.concurrency,
             ok = step.ok,
             errors = step.errors,
@@ -190,12 +188,13 @@ struct WorkerOutcome {
     dead: bool,
 }
 
-fn run_step(config: &SweepConfig, concurrency: usize, admin: &mut Client) -> Result<LoadStep> {
+fn run_step(config: &LoadCurveConfig, concurrency: usize, admin: &mut Client) -> Result<LoadStep> {
     // Two synchronization points, everyone (workers + coordinator)
     // hits both: end of warmup (clock starts) and end of measured work
     // (clock stops). Workers that fail to connect still hit the
     // barriers so nobody deadlocks.
     let barrier = Barrier::new(concurrency + 1);
+    // stco-check: allow(no-raw-thread, one blocking client connection per simulated user; load generation is I/O-bound, not pool work)
     let (wall, outcomes): (f64, Vec<WorkerOutcome>) = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..concurrency)
             .map(|_| {
@@ -303,7 +302,7 @@ fn run_step(config: &SweepConfig, concurrency: usize, admin: &mut Client) -> Res
 /// count, worker shard count, whether the f64 bitwise gate applies —
 /// plus one object per step, including its shed count.
 #[must_use]
-pub fn sweep_to_json(
+pub fn load_curve_to_json(
     threads: usize,
     shards: usize,
     bitwise_identical: bool,
@@ -431,7 +430,7 @@ mod tests {
     }
 
     #[test]
-    fn sweep_json_has_schema_and_steps() {
+    fn load_curve_json_has_schema_and_steps() {
         let steps = vec![LoadStep {
             concurrency: 8,
             ok: 64,
@@ -445,7 +444,7 @@ mod tests {
             client_mean_seconds: 0.015,
             server_window_p99_seconds: Some(0.048),
         }];
-        let doc = sweep_to_json(4, 2, true, &steps);
+        let doc = load_curve_to_json(4, 2, true, &steps);
         assert_eq!(
             doc.get("schema").and_then(JsonValue::as_str),
             Some("stco-serving-curve/v2")

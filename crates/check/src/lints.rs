@@ -184,12 +184,12 @@ impl Default for LintConfig {
                         "submit",
                         "submit_async",
                         "load",
-                        "run_sweep",
                         "drain_shard",
                         "resume_shard",
                         "io_loop",
                     ],
                 ),
+                ("bench", &["run_load_curve"]),
                 (
                     "sweep",
                     &[

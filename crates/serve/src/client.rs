@@ -7,8 +7,8 @@ use stco_store::ArtifactKey;
 
 use stco_obs::json::JsonValue;
 
-use crate::protocol::{read_frame, write_frame, Reply, Request, ServerStats, SweepAction};
-use crate::service::{LeasedScenario, PredictInput, SweepQueueStatus};
+use crate::protocol::{read_frame, write_frame, Reply, Request, ServerStats};
+use crate::service::PredictInput;
 use crate::{Result, ServeError};
 
 /// One connection to a running [`crate::TcpServer`].
@@ -174,53 +174,21 @@ impl Client {
         }
     }
 
-    /// Leases up to `max` pending sweep scenarios for `worker`. An
-    /// empty vector means the queue has nothing pending (the worker's
-    /// cue to stop polling).
+    /// Calls the [`crate::Extension`] the server has attached under
+    /// `name` and returns its reply body.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Remote`] (`bad-input` when no sweep is attached)
-    /// or transport failures.
-    pub fn sweep_lease(&mut self, worker: &str, max: usize) -> Result<Vec<LeasedScenario>> {
-        let request = Request::Sweep(SweepAction::Lease {
-            worker: worker.to_string(),
-            max,
-        });
+    /// [`ServeError::Remote`] (`bad-input` when nothing is attached
+    /// under `name`, otherwise the handler's own typed code) or
+    /// transport failures.
+    pub fn extension(&mut self, name: &str, body: JsonValue) -> Result<JsonValue> {
+        let request = Request::Extension {
+            name: name.to_string(),
+            body,
+        };
         match Self::expect_ok(self.roundtrip(&request)?)? {
-            Reply::SweepLeased { scenarios } => Ok(scenarios),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Reports one completed sweep scenario by content-address hex with
-    /// its `[delay, power, area, cost]` values. `Ok(false)` means the
-    /// scenario was already complete (idempotent re-delivery).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Remote`] (`bad-input` for unknown scenarios,
-    /// `store` for journal failures) or transport failures.
-    pub fn sweep_complete(&mut self, scenario: &str, values: &[f64]) -> Result<bool> {
-        let request = Request::Sweep(SweepAction::Complete {
-            scenario: scenario.to_string(),
-            values: values.to_vec(),
-        });
-        match Self::expect_ok(self.roundtrip(&request)?)? {
-            Reply::SweepCompleted { accepted } => Ok(accepted),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Sweep progress snapshot.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Remote`] (`bad-input` when no sweep is attached)
-    /// or transport failures.
-    pub fn sweep_status(&mut self) -> Result<SweepQueueStatus> {
-        match Self::expect_ok(self.roundtrip(&Request::Sweep(SweepAction::Status))?)? {
-            Reply::SweepStatus(status) => Ok(status),
+            Reply::Extension(body) => Ok(body),
             other => Err(unexpected(&other)),
         }
     }

@@ -25,14 +25,11 @@
 //!   shortest-roundtrip decimal, which Rust formats/parses exactly.
 //!   [`protocol::FrameDecoder`] is the incremental flavour: it accepts
 //!   bytes at any split boundary, for nonblocking sockets.
-//! * [`mux`] / [`server`] / [`client`] — a std-only readiness-loop TCP
-//!   front end (nonblocking sockets, a small fixed pool of I/O event
-//!   threads, per-connection frame state machines) and its matching
-//!   blocking client.
-//! * [`loadgen`] — a closed-loop load generator that sweeps
-//!   concurrency against a running server and reports offered vs
-//!   achieved throughput with exact client-side quantiles,
-//!   cross-checked against the server's rolling latency window.
+//! * [`mux`] / [`client`] — [`TcpServer`], a std-only readiness-loop
+//!   TCP front end (nonblocking sockets, a small fixed pool of I/O event
+//!   threads, per-connection frame state machines), and its matching
+//!   blocking client. Crates layered on serve attach named
+//!   [`Extension`]s that answer the opaque `ext` op.
 //!
 //! Every stage records obs spans and metrics: a `serve.queue_depth`
 //! gauge, `serve.batch_size` and `serve.queue_wait_seconds` histograms,
@@ -45,20 +42,13 @@
 
 pub mod client;
 pub mod demo;
-pub mod loadgen;
 pub mod mux;
 pub mod protocol;
-pub mod server;
 pub mod service;
 
 pub use client::Client;
-pub use loadgen::{run_sweep, LoadStep, SweepConfig};
-pub use mux::MuxConfig;
-pub use server::TcpServer;
-pub use service::{
-    BatchConfig, LeasedScenario, LoadedModel, ModelService, PredictInput, SlowRequest,
-    SweepBackend, SweepQueueStatus,
-};
+pub use mux::{Extension, TcpServer};
+pub use service::{BatchConfig, LoadedModel, ModelService, PredictInput, SlowRequest};
 
 use std::fmt;
 

@@ -19,14 +19,14 @@
 //! the process is killed.
 
 use stco_serve::service::{BatchConfig, ModelService};
-use stco_serve::{MuxConfig, TcpServer};
+use stco_serve::TcpServer;
 use stco_store::{ArtifactKey, Registry};
 
 fn main() {
     let mut bind = "127.0.0.1:7878".to_string();
     let mut preload: Vec<(String, ArtifactKey)> = Vec::new();
     let mut batch = BatchConfig::default();
-    let mut mux = MuxConfig::default();
+    let mut io_threads = 0;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -40,11 +40,8 @@ fn main() {
             }
             "--io-threads" => {
                 let n = args.next().expect("--io-threads needs a count");
-                mux.io_threads = n.parse().expect("--io-threads must be a positive integer");
-                assert!(
-                    mux.io_threads > 0,
-                    "--io-threads must be a positive integer"
-                );
+                io_threads = n.parse().expect("--io-threads must be a positive integer");
+                assert!(io_threads > 0, "--io-threads must be a positive integer");
             }
             "--load" => {
                 let spec = args.next().expect("--load needs KIND:HEXKEY");
@@ -73,7 +70,7 @@ fn main() {
         let id = service.load(kind, *key).expect("preload artifact");
         println!("loaded {id} (shard {})", service.shard_for(&id));
     }
-    let server = TcpServer::start_with(&bind, service, mux).expect("bind server");
+    let server = TcpServer::start_with(&bind, service, io_threads).expect("bind server");
     println!("listening on {}", server.addr());
     server.wait();
     println!("server stopped");

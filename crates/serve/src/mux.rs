@@ -1,6 +1,6 @@
-//! Std-only readiness-loop connection multiplexer.
+//! The std-only TCP front end: a readiness-loop connection multiplexer.
 //!
-//! The TCP front end runs a **small fixed pool of I/O event threads**
+//! [`TcpServer`] runs a **small fixed pool of I/O event threads**
 //! instead of one thread per connection. One blocking acceptor hands
 //! each new socket — switched to nonblocking mode — to an I/O thread
 //! round-robin; each I/O thread owns its connections outright and
@@ -11,7 +11,7 @@
 //!    feeding them through the connection's [`FrameDecoder`] state
 //!    machine — frames may arrive split at any byte boundary;
 //! 3. **dispatch** each completed frame: cheap ops (ping, stats,
-//!    metrics, load, resume) answer inline on the I/O thread; `predict`
+//!    metrics, load, resume, ext) answer inline on the I/O thread; `predict`
 //!    goes to the sharded [`ModelService`] via
 //!    [`ModelService::submit_async`] so a slow forward pass never parks
 //!    the event loop; `drain` blocks until quiescence, so it runs on a
@@ -25,62 +25,70 @@
 //!
 //! There is no OS readiness facility in std, so the loop *polls*: a
 //! sweep that makes no progress parks the thread on its
-//! `Waker` (a condvar) for [`MuxConfig::poll_interval`], escalating
+//! `Waker` (a condvar) for `POLL_INTERVAL` (200 µs), escalating
 //! to a longer nap when the pool has been idle a while. Completions
 //! and the acceptor wake it early, so reply latency does not eat the
 //! poll interval.
 //!
-//! Shutdown: the stop flag halts reads; connections flush their
-//! pending replies, close once no requests are outstanding (with a
-//! force-close grace for clients that stopped reading), and the pool
-//! exits. [`Multiplexer::stop`] then drains the service so every
-//! accepted request was answered.
+//! Malformed frames get a typed error reply (`code: "malformed-frame"`);
+//! the connection stays usable while the stream is still frame-aligned
+//! and closes (after the reply) when a corrupt length prefix desyncs
+//! it.
+//!
+//! Named [`Extension`]s attached with [`TcpServer::attach`] answer the
+//! `ext` op, so a crate layered on serve (the distributed sweep queue in
+//! `stco-sweep`) can speak its own protocol over this front end without
+//! serve knowing its types.
+//!
+//! Shutdown (a wire `shutdown` or [`TcpServer::stop`]): the stop flag
+//! halts reads; connections flush their pending replies, close once no
+//! requests are outstanding (with a force-close grace for clients that
+//! stopped reading), and the pool exits. The service then drains so
+//! every accepted request was answered.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use stco_obs::json::JsonValue;
 
-use crate::protocol::{encode_frame, FrameDecoder, Reply, Request, ServerStats, SweepAction};
+use crate::protocol::{encode_frame, FrameDecoder, Reply, Request, ServerStats};
 use crate::service::ModelService;
 use crate::{Result, ServeError};
 
-/// Tuning knobs for the connection multiplexer.
-#[derive(Debug, Clone, Copy)]
-pub struct MuxConfig {
-    /// I/O event threads. `0` picks `available_parallelism / 4`,
-    /// clamped to `1..=4` — event threads only shuffle bytes; the
-    /// stco-par pool does the math.
-    pub io_threads: usize,
-    /// Connection cap; sockets beyond it are dropped at accept (and
-    /// counted in `serve.conn_rejected_total`).
-    pub max_conns: usize,
-    /// How long an idle I/O thread parks between readiness sweeps.
-    pub poll_interval: Duration,
+/// A named handler for the `ext` wire op: takes the request's opaque
+/// JSON body and returns the reply body. Handlers run inline on an I/O
+/// event thread, so they must be quick (in-memory bookkeeping, or one
+/// small atomic write — the `load` op's budget).
+pub trait Extension: Send + Sync {
+    /// Answers one `ext` call.
+    ///
+    /// # Errors
+    ///
+    /// Any [`ServeError`]; it crosses the wire as its typed code
+    /// (`malformed-frame` for [`ServeError::Protocol`], and so on).
+    fn call(&self, body: &JsonValue) -> Result<JsonValue>;
 }
 
-impl Default for MuxConfig {
-    fn default() -> Self {
-        MuxConfig {
-            io_threads: 0,
-            max_conns: 4096,
-            poll_interval: Duration::from_micros(200),
-        }
-    }
-}
+/// Connection cap; sockets beyond it are dropped at accept (and counted
+/// in `serve.conn_rejected_total`).
+const MAX_CONNS: usize = 4096;
 
-impl MuxConfig {
-    fn resolved_io_threads(&self) -> usize {
-        if self.io_threads > 0 {
-            return self.io_threads.min(64);
-        }
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        (cores / 4).clamp(1, 4)
+/// How long an idle I/O thread parks between readiness sweeps.
+const POLL_INTERVAL: Duration = Duration::from_micros(200);
+
+/// Resolves an I/O thread count: `0` picks `available_parallelism / 4`,
+/// clamped to `1..=4` — event threads only shuffle bytes; the stco-par
+/// pool does the math.
+fn resolved_io_threads(io_threads: usize) -> usize {
+    if io_threads > 0 {
+        return io_threads.min(64);
     }
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    (cores / 4).clamp(1, 4)
 }
 
 /// Grace between the stop request and force-closing connections that
@@ -96,10 +104,15 @@ const READS_PER_SWEEP: usize = 4;
 const MAX_OUTSTANDING: usize = 1024;
 
 /// Idle sweeps before the park timeout escalates from
-/// [`MuxConfig::poll_interval`] to the long nap.
+/// [`POLL_INTERVAL`] to the long nap.
 const IDLE_ESCALATE_SWEEPS: u32 = 64;
 
 const LONG_NAP: Duration = Duration::from_millis(5);
+
+/// `Mutex::lock` that recovers the guard from a poisoned lock.
+fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Condvar-based wakeup latch: completions and the acceptor `wake` an
 /// I/O thread out of its park early.
@@ -117,14 +130,14 @@ impl Waker {
     }
 
     fn wake(&self) {
-        let mut flag = self.flag.lock().unwrap_or_else(|e| e.into_inner());
+        let mut flag = lock_ignore_poison(&self.flag);
         *flag = true;
         drop(flag);
         self.cond.notify_all();
     }
 
     fn wait(&self, timeout: Duration) {
-        let mut flag = self.flag.lock().unwrap_or_else(|e| e.into_inner());
+        let mut flag = lock_ignore_poison(&self.flag);
         if !*flag {
             let (next, _timed_out) = self
                 .cond
@@ -145,7 +158,7 @@ struct IoThread {
 struct MuxShared {
     service: Arc<ModelService>,
     addr: std::net::SocketAddr,
-    config: MuxConfig,
+    extensions: Mutex<BTreeMap<String, Arc<dyn Extension>>>,
     stop: AtomicBool,
     stop_at: Mutex<Option<Instant>>,
     conn_count: AtomicUsize,
@@ -178,7 +191,7 @@ fn push_ready(cs: &ConnShared, seq: u64, reply: &Reply) {
     let frame = encode_frame(&reply.to_json())
         .or_else(|e| encode_frame(&Reply::from_error(&e).to_json()))
         .unwrap_or_default();
-    let mut out = cs.out.lock().unwrap_or_else(|e| e.into_inner());
+    let mut out = lock_ignore_poison(&cs.out);
     out.ready.insert(seq, frame);
 }
 
@@ -219,40 +232,50 @@ impl Conn {
     }
 }
 
-/// The running multiplexer: acceptor + I/O thread pool over one
+/// A running TCP server: acceptor + I/O thread pool over one
 /// [`ModelService`].
-pub struct Multiplexer {
+pub struct TcpServer {
     shared: Arc<MuxShared>,
     acceptor: Mutex<Option<std::thread::JoinHandle<()>>>,
     io_handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
-impl Multiplexer {
-    /// Binds `bind` (port 0 for ephemeral) and starts the acceptor and
-    /// I/O pool.
+impl TcpServer {
+    /// Binds `bind` (use port 0 for an ephemeral port) and starts
+    /// serving `service` with an automatic I/O thread count.
     ///
     /// # Errors
     ///
     /// [`ServeError::Io`] if the bind or thread spawns fail.
-    pub fn start(
+    pub fn start(bind: &str, service: Arc<ModelService>) -> Result<Arc<TcpServer>> {
+        Self::start_with(bind, service, 0)
+    }
+
+    /// [`TcpServer::start`] with `io_threads` I/O event threads (`0`
+    /// picks `available_parallelism / 4`, clamped to `1..=4`).
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Io`] if the bind or thread spawns fail.
+    pub fn start_with(
         bind: &str,
         service: Arc<ModelService>,
-        config: MuxConfig,
-    ) -> Result<Arc<Multiplexer>> {
+        io_threads: usize,
+    ) -> Result<Arc<TcpServer>> {
         let listener = TcpListener::bind(bind)?;
         let addr = listener.local_addr()?;
-        let io_threads = config.resolved_io_threads();
+        let io_threads = resolved_io_threads(io_threads);
         let io = (0..io_threads)
             .map(|_| IoThread {
                 incoming: Mutex::new(Vec::new()),
                 waker: Arc::new(Waker::new()),
             })
             .collect();
-        let mux = Arc::new(Multiplexer {
+        let mux = Arc::new(TcpServer {
             shared: Arc::new(MuxShared {
                 service,
                 addr,
-                config,
+                extensions: Mutex::new(BTreeMap::new()),
                 stop: AtomicBool::new(false),
                 stop_at: Mutex::new(None),
                 conn_count: AtomicUsize::new(0),
@@ -270,19 +293,13 @@ impl Multiplexer {
                 .map_err(ServeError::Io)?;
             handles.push(handle);
         }
-        {
-            let mut io_handles = mux.io_handles.lock().unwrap_or_else(|e| e.into_inner());
-            *io_handles = handles;
-        }
+        *lock_ignore_poison(&mux.io_handles) = handles;
         let accept_mux = Arc::clone(&mux);
         let acceptor = std::thread::Builder::new()
             .name("stco-serve-accept".to_string())
             .spawn(move || accept_loop(&listener, &accept_mux))
             .map_err(ServeError::Io)?;
-        {
-            let mut slot = mux.acceptor.lock().unwrap_or_else(|e| e.into_inner());
-            *slot = Some(acceptor);
-        }
+        *lock_ignore_poison(&mux.acceptor) = Some(acceptor);
         stco_obs::event!(
             "serve.listening",
             addr = addr.to_string(),
@@ -298,45 +315,43 @@ impl Multiplexer {
         self.shared.addr
     }
 
-    /// Whether a stop has been requested.
-    #[must_use]
-    pub fn stopping(&self) -> bool {
-        self.shared.stop.load(Ordering::SeqCst)
+    /// Attaches `extension` under `name`: subsequent `ext` requests
+    /// naming it route to its [`Extension::call`]. Re-attaching a name
+    /// replaces the previous handler.
+    pub fn attach(&self, name: &str, extension: Arc<dyn Extension>) {
+        lock_ignore_poison(&self.shared.extensions).insert(name.to_string(), extension);
     }
 
-    /// Blocks until the multiplexer stops (via [`Multiplexer::stop`]
-    /// or a wire `shutdown`).
+    /// Blocks until the server stops (via [`TcpServer::stop`] or a wire
+    /// `shutdown`). Safe to call from the main thread of a server
+    /// binary.
     pub fn wait(&self) {
-        let acceptor = {
-            let mut slot = self.acceptor.lock().unwrap_or_else(|e| e.into_inner());
-            slot.take()
-        };
+        self.join_acceptor();
+        self.join_io();
+    }
+
+    fn join_acceptor(&self) {
+        let acceptor = lock_ignore_poison(&self.acceptor).take();
         if let Some(handle) = acceptor {
             let _ = handle.join();
         }
-        let handles: Vec<_> = {
-            let mut io_handles = self.io_handles.lock().unwrap_or_else(|e| e.into_inner());
-            io_handles.drain(..).collect()
-        };
+    }
+
+    fn join_io(&self) {
+        let handles = std::mem::take(&mut *lock_ignore_poison(&self.io_handles));
         for handle in handles {
             let _ = handle.join();
         }
     }
 
-    /// Stops the front end: no new connections or reads, pending
-    /// replies flush, the service drains (every accepted request is
-    /// answered), threads join. Idempotent.
+    /// Stops the server: no new connections or reads, pending replies
+    /// flush, the service drains (every accepted request is answered),
+    /// threads join. Idempotent; returns once the front end has wound
+    /// down.
     pub fn stop(&self) {
         let first = !self.shared.stop.swap(true, Ordering::SeqCst);
         if first {
-            {
-                let mut at = self
-                    .shared
-                    .stop_at
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner());
-                *at = Some(Instant::now());
-            }
+            *lock_ignore_poison(&self.shared.stop_at) = Some(Instant::now());
             // Unblock the blocking accept() with a throwaway connection.
             if let Ok(conn) = TcpStream::connect(self.shared.addr) {
                 drop(conn);
@@ -345,36 +360,24 @@ impl Multiplexer {
                 io.waker.wake();
             }
         }
-        let acceptor = {
-            let mut slot = self.acceptor.lock().unwrap_or_else(|e| e.into_inner());
-            slot.take()
-        };
-        if let Some(handle) = acceptor {
-            let _ = handle.join();
-        }
+        self.join_acceptor();
         // Drain the shard queues: fires every pending completion into
         // the connection out-buffers before the I/O pool winds down.
         self.shared.service.shutdown();
         for io in &self.shared.io {
             io.waker.wake();
         }
-        let handles: Vec<_> = {
-            let mut io_handles = self.io_handles.lock().unwrap_or_else(|e| e.into_inner());
-            io_handles.drain(..).collect()
-        };
-        for handle in handles {
-            let _ = handle.join();
-        }
+        self.join_io();
     }
 }
 
-impl Drop for Multiplexer {
+impl Drop for TcpServer {
     fn drop(&mut self) {
         self.stop();
     }
 }
 
-fn accept_loop(listener: &TcpListener, mux: &Arc<Multiplexer>) {
+fn accept_loop(listener: &TcpListener, mux: &Arc<TcpServer>) {
     let shared = &mux.shared;
     let rejected = stco_obs::Recorder::global()
         .metrics()
@@ -385,7 +388,7 @@ fn accept_loop(listener: &TcpListener, mux: &Arc<Multiplexer>) {
             break;
         }
         let Ok(stream) = stream else { continue };
-        if shared.conn_count.load(Ordering::SeqCst) >= shared.config.max_conns {
+        if shared.conn_count.load(Ordering::SeqCst) >= MAX_CONNS {
             rejected.inc();
             continue;
         }
@@ -397,7 +400,7 @@ fn accept_loop(listener: &TcpListener, mux: &Arc<Multiplexer>) {
         let slot = &shared.io[next_io];
         next_io = (next_io + 1) % shared.io.len();
         {
-            let mut incoming = slot.incoming.lock().unwrap_or_else(|e| e.into_inner());
+            let mut incoming = lock_ignore_poison(&slot.incoming);
             incoming.push(stream);
         }
         slot.waker.wake();
@@ -405,7 +408,7 @@ fn accept_loop(listener: &TcpListener, mux: &Arc<Multiplexer>) {
 }
 
 /// One I/O event thread: sweeps its connections until stopped.
-fn io_loop(mux: &Arc<Multiplexer>, io_idx: usize) {
+fn io_loop(mux: &Arc<TcpServer>, io_idx: usize) {
     let _span = stco_obs::span!("serve.io_loop", io_thread = io_idx);
     let shared = &mux.shared;
     let mut conns: Vec<Conn> = Vec::new();
@@ -414,14 +417,11 @@ fn io_loop(mux: &Arc<Multiplexer>, io_idx: usize) {
     loop {
         let stopping = shared.stop.load(Ordering::SeqCst);
         let force_close = stopping && {
-            let at = shared.stop_at.lock().unwrap_or_else(|e| e.into_inner());
+            let at = lock_ignore_poison(&shared.stop_at);
             at.is_some_and(|t| t.elapsed() > STOP_GRACE)
         };
         let adopted: Vec<TcpStream> = {
-            let mut incoming = shared.io[io_idx]
-                .incoming
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
+            let mut incoming = lock_ignore_poison(&shared.io[io_idx].incoming);
             incoming.drain(..).collect()
         };
         let mut progressed = !adopted.is_empty();
@@ -460,7 +460,7 @@ fn io_loop(mux: &Arc<Multiplexer>, io_idx: usize) {
         let timeout = if conns.is_empty() || idle_sweeps > IDLE_ESCALATE_SWEEPS {
             LONG_NAP
         } else {
-            shared.config.poll_interval
+            POLL_INTERVAL
         };
         shared.io[io_idx].waker.wait(timeout);
     }
@@ -469,7 +469,7 @@ fn io_loop(mux: &Arc<Multiplexer>, io_idx: usize) {
 /// One readiness sweep over one connection: read, dispatch, write,
 /// close-check. Returns whether any progress was made.
 fn sweep_conn(
-    mux: &Arc<Multiplexer>,
+    mux: &Arc<TcpServer>,
     io_idx: usize,
     conn: &mut Conn,
     scratch: &mut [u8],
@@ -503,7 +503,7 @@ fn sweep_conn(
     // means genuinely done.
     let done_reading = conn.read_closed || conn.close_after || stopping;
     if done_reading && conn.shared.outstanding.load(Ordering::SeqCst) == 0 {
-        let out = conn.shared.out.lock().unwrap_or_else(|e| e.into_inner());
+        let out = lock_ignore_poison(&conn.shared.out);
         if out.ready.is_empty() && out.wire.len() == out.written {
             drop(out);
             conn.dead = true;
@@ -515,7 +515,7 @@ fn sweep_conn(
 
 /// Reads up to the per-sweep budget, feeding the frame decoder and
 /// dispatching completed frames.
-fn pump_reads(mux: &Arc<Multiplexer>, io_idx: usize, conn: &mut Conn, scratch: &mut [u8]) -> bool {
+fn pump_reads(mux: &Arc<TcpServer>, io_idx: usize, conn: &mut Conn, scratch: &mut [u8]) -> bool {
     let mut progressed = false;
     for _ in 0..READS_PER_SWEEP {
         match conn.stream.read(scratch) {
@@ -555,7 +555,7 @@ fn pump_reads(mux: &Arc<Multiplexer>, io_idx: usize, conn: &mut Conn, scratch: &
 /// socket will take.
 fn pump_writes(conn: &mut Conn) -> bool {
     let mut progressed = false;
-    let mut out = conn.shared.out.lock().unwrap_or_else(|e| e.into_inner());
+    let mut out = lock_ignore_poison(&conn.shared.out);
     loop {
         let due = out.next_emit;
         let Some(frame) = out.ready.remove(&due) else {
@@ -600,7 +600,7 @@ fn pump_writes(conn: &mut Conn) -> bool {
 /// Dispatches one decoded frame (or per-frame decode error). The reply
 /// lands at this frame's sequence slot — immediately for cheap ops,
 /// from a completion for `predict`/`drain`.
-fn dispatch_item(mux: &Arc<Multiplexer>, io_idx: usize, conn: &mut Conn, item: Result<JsonValue>) {
+fn dispatch_item(mux: &Arc<TcpServer>, io_idx: usize, conn: &mut Conn, item: Result<JsonValue>) {
     let shared = &mux.shared;
     let seq = conn.next_seq;
     conn.next_seq += 1;
@@ -693,26 +693,18 @@ fn dispatch_item(mux: &Arc<Multiplexer>, io_idx: usize, conn: &mut Conn, item: R
                 .name("stco-serve-stop".to_string())
                 .spawn(move || stopper.stop());
         }
-        // Sweep queue ops run inline on the event thread: lease and
-        // status are in-memory bookkeeping, and complete is one
-        // atomic journal write (the Load precedent — rare admin-path
-        // registry I/O is not worth a helper thread).
-        Request::Sweep(action) => {
-            let reply = match shared.service.sweep_backend() {
+        // Extension calls run inline on the event thread, like `load`:
+        // handlers are in-memory bookkeeping or one small atomic write,
+        // not worth a helper thread.
+        Request::Extension { name, body } => {
+            let extension = lock_ignore_poison(&shared.extensions).get(&name).cloned();
+            let reply = match extension {
                 None => Reply::from_error(&ServeError::BadInput {
-                    context: "no sweep attached to this server".to_string(),
+                    context: format!("no extension {name:?} attached to this server"),
                 }),
-                Some(backend) => match action {
-                    SweepAction::Lease { worker, max } => Reply::SweepLeased {
-                        scenarios: backend.lease(&worker, max),
-                    },
-                    SweepAction::Complete { scenario, values } => {
-                        match backend.complete(&scenario, &values) {
-                            Ok(accepted) => Reply::SweepCompleted { accepted },
-                            Err(e) => Reply::from_error(&e),
-                        }
-                    }
-                    SweepAction::Status => Reply::SweepStatus(backend.status()),
+                Some(extension) => match extension.call(&body) {
+                    Ok(body) => Reply::Extension(body),
+                    Err(e) => Reply::from_error(&e),
                 },
             };
             push_ready(&conn.shared, seq, &reply);

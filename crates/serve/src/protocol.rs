@@ -18,26 +18,20 @@
 //! {"op":"shutdown"}
 //! {"op":"predict","model":"cell-model:00ab…","deadline_ms":250,
 //!  "input":{"task":"cell","metrics":[0,3],"graph":{…}}}
-//! {"op":"sweep","action":"lease","worker":"w0","max":4}
-//! {"op":"sweep","action":"complete","scenario":"00ab…","values":[…]}
-//! {"op":"sweep","action":"status"}
+//! {"op":"ext","name":"sweep","body":{…}}
 //! ```
 //!
 //! Replies mirror them: `{"ok":"pong"}`,
 //! `{"ok":"loaded","model":id,"shard":0}`, `{"ok":"stats",…}`,
 //! `{"ok":"metrics",…}`, `{"ok":"drained","shard":0}`,
 //! `{"ok":"resumed","shard":0}`, `{"ok":"shutting-down"}`,
-//! `{"ok":"values","values":[…]}`,
-//! `{"ok":"sweep-leased","scenarios":[{"index":3,"id":"00ab…"}]}`,
-//! `{"ok":"sweep-completed","accepted":true}`,
-//! `{"ok":"sweep-status","total":16,"pending":9,"leased":2,"completed":5}`
+//! `{"ok":"values","values":[…]}`, `{"ok":"ext","body":{…}}`
 //! or `{"err":{"code":"queue-full","message":"…"}}`.
 //!
-//! The `sweep` op fronts an attached distributed-sweep queue
-//! (DESIGN.md §17): workers lease pending scenarios, evaluate them
-//! locally against their own copy of the spec, and report objective
-//! values back; the server journals each completion through the
-//! backend. With no queue attached the op answers `bad-input`.
+//! The `ext` op carries an opaque JSON body to the
+//! [`crate::Extension`] attached to the server under `name` and returns
+//! the handler's reply body verbatim; serve itself never looks inside
+//! either body. An unknown name answers `bad-input`.
 //!
 //! `stats` carries the full [`ServerStats`] admin view: queue depth
 //! (total and per shard), loaded models, request/reply/error/deadline/
@@ -61,7 +55,7 @@ use stco_numerics::Matrix;
 use stco_obs::json::JsonValue;
 use stco_store::ArtifactKey;
 
-use crate::service::{LeasedScenario, PredictInput, SlowRequest, SweepQueueStatus};
+use crate::service::{PredictInput, SlowRequest};
 use crate::{Result, ServeError};
 
 /// Upper bound on a single frame (64 MiB) — a corrupt length prefix
@@ -249,10 +243,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<JsonValue>> {
     }
     let mut body = vec![0u8; len];
     read_full(r, &mut body, "frame body")?;
-    let text = String::from_utf8(body).map_err(|_| proto("frame body is not UTF-8"))?;
-    JsonValue::parse(&text)
-        .map(Some)
-        .map_err(|e| proto(format!("frame is not JSON: {e}")))
+    decode_body(body).map(Some)
 }
 
 /// A decoded client request.
@@ -293,29 +284,13 @@ pub enum Request {
         /// Optional per-request deadline, milliseconds.
         deadline_ms: Option<u64>,
     },
-    /// Distributed-sweep queue operation (lease / complete / status).
-    Sweep(SweepAction),
-}
-
-/// The sub-operations of the `sweep` op.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SweepAction {
-    /// Lease up to `max` pending scenarios to a named worker.
-    Lease {
-        /// Worker identity (for lease bookkeeping and reclaim).
-        worker: String,
-        /// Maximum scenarios to lease in this call.
-        max: usize,
+    /// A call to the [`crate::Extension`] attached under `name`.
+    Extension {
+        /// The extension's attach name.
+        name: String,
+        /// Opaque request body, passed through untouched.
+        body: JsonValue,
     },
-    /// Report one completed scenario.
-    Complete {
-        /// Scenario content address, 16-hex.
-        scenario: String,
-        /// Objective values, `[delay, power, area, cost]`.
-        values: Vec<f64>,
-    },
-    /// Progress snapshot.
-    Status,
 }
 
 fn num(v: usize) -> JsonValue {
@@ -340,14 +315,22 @@ fn str_field(doc: &JsonValue, key: &str) -> Result<String> {
         .ok_or_else(|| proto(format!("missing/non-string field {key:?}")))
 }
 
+fn body_field(doc: &JsonValue) -> Result<JsonValue> {
+    doc.get("body")
+        .cloned()
+        .ok_or_else(|| proto("missing field \"body\""))
+}
+
+fn arr_field<'a>(doc: &'a JsonValue, key: &str) -> Result<&'a [JsonValue]> {
+    match doc.get(key) {
+        Some(JsonValue::Arr(items)) => Ok(items),
+        Some(_) => Err(proto(format!("field {key:?} is not an array"))),
+        None => Err(proto(format!("missing array field {key:?}"))),
+    }
+}
+
 fn f64_vec(doc: &JsonValue, key: &str) -> Result<Vec<f64>> {
-    let JsonValue::Arr(items) = doc
-        .get(key)
-        .ok_or_else(|| proto(format!("missing array field {key:?}")))?
-    else {
-        return Err(proto(format!("field {key:?} is not an array")));
-    };
-    items
+    arr_field(doc, key)?
         .iter()
         .map(|v| {
             v.as_f64()
@@ -357,13 +340,7 @@ fn f64_vec(doc: &JsonValue, key: &str) -> Result<Vec<f64>> {
 }
 
 fn usize_vec(doc: &JsonValue, key: &str) -> Result<Vec<usize>> {
-    let JsonValue::Arr(items) = doc
-        .get(key)
-        .ok_or_else(|| proto(format!("missing array field {key:?}")))?
-    else {
-        return Err(proto(format!("field {key:?} is not an array")));
-    };
-    items
+    arr_field(doc, key)?
         .iter()
         .map(|v| {
             v.as_u64()
@@ -383,13 +360,7 @@ fn edges_to_json(edges: &[(usize, usize)]) -> JsonValue {
 }
 
 fn edges_from_json(doc: &JsonValue, key: &str) -> Result<Vec<(usize, usize)>> {
-    let JsonValue::Arr(items) = doc
-        .get(key)
-        .ok_or_else(|| proto(format!("missing array field {key:?}")))?
-    else {
-        return Err(proto(format!("field {key:?} is not an array")));
-    };
-    items
+    arr_field(doc, key)?
         .iter()
         .map(|pair| {
             let JsonValue::Arr(sd) = pair else {
@@ -504,13 +475,7 @@ fn cell_graph_from_json(doc: &JsonValue) -> Result<CellGraph> {
         .into_iter()
         .map(|t| kind_from_tag(t as u64))
         .collect::<Result<Vec<CellNodeKind>>>()?;
-    let JsonValue::Arr(label_items) = doc
-        .get("labels")
-        .ok_or_else(|| proto("missing array field \"labels\""))?
-    else {
-        return Err(proto("field \"labels\" is not an array"));
-    };
-    let labels = label_items
+    let labels = arr_field(doc, "labels")?
         .iter()
         .map(|l| {
             l.as_str()
@@ -628,27 +593,11 @@ impl Request {
                 }
                 obj(pairs)
             }
-            Request::Sweep(action) => match action {
-                SweepAction::Lease { worker, max } => obj(vec![
-                    ("op", JsonValue::Str("sweep".to_string())),
-                    ("action", JsonValue::Str("lease".to_string())),
-                    ("worker", JsonValue::Str(worker.clone())),
-                    ("max", num(*max)),
-                ]),
-                SweepAction::Complete { scenario, values } => obj(vec![
-                    ("op", JsonValue::Str("sweep".to_string())),
-                    ("action", JsonValue::Str("complete".to_string())),
-                    ("scenario", JsonValue::Str(scenario.clone())),
-                    (
-                        "values",
-                        JsonValue::Arr(values.iter().map(|v| JsonValue::Num(*v)).collect()),
-                    ),
-                ]),
-                SweepAction::Status => obj(vec![
-                    ("op", JsonValue::Str("sweep".to_string())),
-                    ("action", JsonValue::Str("status".to_string())),
-                ]),
-            },
+            Request::Extension { name, body } => obj(vec![
+                ("op", JsonValue::Str("ext".to_string())),
+                ("name", JsonValue::Str(name.clone())),
+                ("body", body.clone()),
+            ]),
         }
     }
 
@@ -699,25 +648,10 @@ impl Request {
                     deadline_ms,
                 })
             }
-            "sweep" => {
-                let action = str_field(doc, "action")?;
-                match action.as_str() {
-                    "lease" => Ok(Request::Sweep(SweepAction::Lease {
-                        worker: str_field(doc, "worker")?,
-                        max: doc
-                            .get("max")
-                            .and_then(JsonValue::as_u64)
-                            .ok_or_else(|| proto("missing/non-integer field \"max\""))?
-                            as usize,
-                    })),
-                    "complete" => Ok(Request::Sweep(SweepAction::Complete {
-                        scenario: str_field(doc, "scenario")?,
-                        values: f64_vec(doc, "values")?,
-                    })),
-                    "status" => Ok(Request::Sweep(SweepAction::Status)),
-                    other => Err(proto(format!("unknown sweep action {other:?}"))),
-                }
-            }
+            "ext" => Ok(Request::Extension {
+                name: str_field(doc, "name")?,
+                body: body_field(doc)?,
+            }),
             other => Err(proto(format!("unknown op {other:?}"))),
         }
     }
@@ -820,20 +754,8 @@ pub enum Reply {
     ShuttingDown,
     /// Prediction values.
     Values(Vec<f64>),
-    /// Scenarios leased to the requesting sweep worker (empty when the
-    /// queue has nothing pending).
-    SweepLeased {
-        /// The leased scenarios.
-        scenarios: Vec<LeasedScenario>,
-    },
-    /// Sweep completion acknowledged.
-    SweepCompleted {
-        /// False when the scenario was already complete (idempotent
-        /// re-delivery).
-        accepted: bool,
-    },
-    /// Sweep progress snapshot.
-    SweepStatus(SweepQueueStatus),
+    /// An extension's reply body, passed through untouched.
+    Extension(JsonValue),
     /// Typed error.
     Error {
         /// Stable code (see [`ServeError::code`]).
@@ -906,33 +828,9 @@ impl Reply {
                     JsonValue::Arr(values.iter().map(|v| JsonValue::Num(*v)).collect()),
                 ),
             ]),
-            Reply::SweepLeased { scenarios } => obj(vec![
-                ("ok", JsonValue::Str("sweep-leased".to_string())),
-                (
-                    "scenarios",
-                    JsonValue::Arr(
-                        scenarios
-                            .iter()
-                            .map(|s| {
-                                obj(vec![
-                                    ("index", num(s.index)),
-                                    ("id", JsonValue::Str(s.id.clone())),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-            Reply::SweepCompleted { accepted } => obj(vec![
-                ("ok", JsonValue::Str("sweep-completed".to_string())),
-                ("accepted", JsonValue::Bool(*accepted)),
-            ]),
-            Reply::SweepStatus(status) => obj(vec![
-                ("ok", JsonValue::Str("sweep-status".to_string())),
-                ("total", num(status.total)),
-                ("pending", num(status.pending)),
-                ("leased", num(status.leased)),
-                ("completed", num(status.completed)),
+            Reply::Extension(body) => obj(vec![
+                ("ok", JsonValue::Str("ext".to_string())),
+                ("body", body.clone()),
             ]),
             Reply::Error { code, message } => obj(vec![(
                 "err",
@@ -980,38 +878,22 @@ impl Reply {
                     shards: counter("shards")? as usize,
                     shard_queue_depths: usize_vec(doc, "shard_queue_depths")?,
                     shed: counter("shed")?,
-                    loaded: {
-                        let JsonValue::Arr(items) = doc
-                            .get("loaded")
-                            .ok_or_else(|| proto("stats missing loaded"))?
-                        else {
-                            return Err(proto("stats loaded is not an array"));
-                        };
-                        items
-                            .iter()
-                            .map(|m| {
-                                m.as_str()
-                                    .map(str::to_string)
-                                    .ok_or_else(|| proto("non-string model id"))
-                            })
-                            .collect::<Result<Vec<String>>>()?
-                    },
+                    loaded: arr_field(doc, "loaded")?
+                        .iter()
+                        .map(|m| {
+                            m.as_str()
+                                .map(str::to_string)
+                                .ok_or_else(|| proto("non-string model id"))
+                        })
+                        .collect::<Result<Vec<String>>>()?,
                     requests: counter("requests")?,
                     replies: counter("replies")?,
                     errors: counter("errors")?,
                     deadline_exceeded: counter("deadline_exceeded")?,
-                    slow_requests: {
-                        let JsonValue::Arr(items) = doc
-                            .get("slow_requests")
-                            .ok_or_else(|| proto("stats missing slow_requests"))?
-                        else {
-                            return Err(proto("stats slow_requests is not an array"));
-                        };
-                        items
-                            .iter()
-                            .map(slow_from_json)
-                            .collect::<Result<Vec<SlowRequest>>>()?
-                    },
+                    slow_requests: arr_field(doc, "slow_requests")?
+                        .iter()
+                        .map(slow_from_json)
+                        .collect::<Result<Vec<SlowRequest>>>()?,
                 }))
             }
             "metrics" => Ok(Reply::Metrics {
@@ -1023,48 +905,7 @@ impl Reply {
             }),
             "shutting-down" => Ok(Reply::ShuttingDown),
             "values" => Ok(Reply::Values(f64_vec(doc, "values")?)),
-            "sweep-leased" => {
-                let JsonValue::Arr(items) = doc
-                    .get("scenarios")
-                    .ok_or_else(|| proto("sweep-leased missing scenarios"))?
-                else {
-                    return Err(proto("sweep-leased scenarios is not an array"));
-                };
-                let scenarios = items
-                    .iter()
-                    .map(|s| {
-                        Ok(LeasedScenario {
-                            index: s
-                                .get("index")
-                                .and_then(JsonValue::as_u64)
-                                .ok_or_else(|| proto("leased scenario missing index"))?
-                                as usize,
-                            id: str_field(s, "id")?,
-                        })
-                    })
-                    .collect::<Result<Vec<LeasedScenario>>>()?;
-                Ok(Reply::SweepLeased { scenarios })
-            }
-            "sweep-completed" => match doc.get("accepted") {
-                Some(JsonValue::Bool(accepted)) => Ok(Reply::SweepCompleted {
-                    accepted: *accepted,
-                }),
-                _ => Err(proto("sweep-completed missing boolean accepted")),
-            },
-            "sweep-status" => {
-                let field = |key: &str| -> Result<usize> {
-                    doc.get(key)
-                        .and_then(JsonValue::as_u64)
-                        .map(|v| v as usize)
-                        .ok_or_else(|| proto(format!("sweep-status missing {key}")))
-                };
-                Ok(Reply::SweepStatus(SweepQueueStatus {
-                    total: field("total")?,
-                    pending: field("pending")?,
-                    leased: field("leased")?,
-                    completed: field("completed")?,
-                }))
-            }
+            "ext" => Ok(Reply::Extension(body_field(doc)?)),
             other => Err(proto(format!("unknown reply tag {other:?}"))),
         }
     }

@@ -442,14 +442,10 @@ struct Shard {
     depth: AtomicUsize,
 }
 
-/// FNV-1a 64-bit — stable, dependency-free, good enough dispersion for
-/// ring placement.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
+/// Ring placement hash: [`stco_store::fnv1a64`] finished with an
+/// avalanche step.
+fn ring_hash(bytes: &[u8]) -> u64 {
+    let mut h = stco_store::fnv1a64(bytes);
     // FNV alone leaves the high bits under-mixed for strings that differ
     // only near the tail (one multiply cannot lift a small delta into
     // the top bits), which collapses the ring: finish with a murmur3-
@@ -477,7 +473,7 @@ impl HashRing {
         for shard in 0..shards {
             for vnode in 0..VNODES_PER_SHARD {
                 points.push((
-                    fnv1a64(format!("shard-{shard}/vnode-{vnode}").as_bytes()),
+                    ring_hash(format!("shard-{shard}/vnode-{vnode}").as_bytes()),
                     shard,
                 ));
             }
@@ -490,7 +486,7 @@ impl HashRing {
         if self.points.len() <= VNODES_PER_SHARD {
             return 0;
         }
-        let h = fnv1a64(id.as_bytes());
+        let h = ring_hash(id.as_bytes());
         let i = self.points.partition_point(|(p, _)| *p < h);
         self.points[i % self.points.len()].1
     }
@@ -526,53 +522,6 @@ fn update_depth_gauges(shared: &Shared) {
     metrics.gauge("serve.shard_queue_depth").set(hottest as f64);
 }
 
-/// One scenario leased to a remote sweep worker: its canonical index
-/// and its content-address hex (the worker cross-checks both against
-/// its locally expanded spec before evaluating).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LeasedScenario {
-    /// Canonical index in the expanded scenario list.
-    pub index: usize,
-    /// Scenario content address, 16-hex.
-    pub id: String,
-}
-
-/// Snapshot of a sweep queue's progress, returned by the `sweep`
-/// status action.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SweepQueueStatus {
-    /// Total scenarios in the spec.
-    pub total: usize,
-    /// Scenarios not yet leased or completed.
-    pub pending: usize,
-    /// Scenarios leased to a worker and awaiting completion.
-    pub leased: usize,
-    /// Scenarios with a journal record.
-    pub completed: usize,
-}
-
-/// A distributed-sweep work queue the TCP `sweep` op fronts. The
-/// canonical implementation lives in `stco-sweep` (which owns the
-/// scenario journal); serve only routes lease/complete/status calls,
-/// keeping the dependency arrow pointing sweep → serve.
-pub trait SweepBackend: Send + Sync {
-    /// Leases up to `max` pending scenarios to `worker`.
-    fn lease(&self, worker: &str, max: usize) -> Vec<LeasedScenario>;
-
-    /// Records a completed scenario by content-address hex with its
-    /// `[delay, power, area, cost]` values. Returns `Ok(false)` when
-    /// the scenario was already complete (idempotent re-delivery).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::BadInput`] on unknown scenarios or malformed
-    /// values, [`ServeError::Store`] on journal write failures.
-    fn complete(&self, scenario: &str, values: &[f64]) -> Result<bool>;
-
-    /// Progress snapshot.
-    fn status(&self) -> SweepQueueStatus;
-}
-
 /// The warm-cache, sharded micro-batching model service.
 pub struct ModelService {
     registry: Option<Registry>,
@@ -580,8 +529,6 @@ pub struct ModelService {
     /// shard (the one its id routes to), so shard workers never share
     /// cache locks.
     models: Vec<RwLock<HashMap<String, Arc<LoadedModel>>>>,
-    /// The attached distributed-sweep queue, if any.
-    sweep: RwLock<Option<Arc<dyn SweepBackend>>>,
     shared: Arc<Shared>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
@@ -634,23 +581,9 @@ impl ModelService {
             models: (0..batch.shards)
                 .map(|_| RwLock::new(HashMap::new()))
                 .collect(),
-            sweep: RwLock::new(None),
             shared,
             workers: Mutex::new(workers),
         })
-    }
-
-    /// Attaches a distributed-sweep queue; subsequent `sweep` wire ops
-    /// route to it. Re-attaching replaces the previous queue.
-    pub fn attach_sweep(&self, backend: Arc<dyn SweepBackend>) {
-        let mut slot = self.sweep.write().unwrap_or_else(|e| e.into_inner());
-        *slot = Some(backend);
-    }
-
-    /// The attached sweep queue, if any.
-    #[must_use]
-    pub fn sweep_backend(&self) -> Option<Arc<dyn SweepBackend>> {
-        self.sweep.read().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
     /// The canonical id a model is cached under: `<kind>:<key hex>`.

@@ -13,17 +13,21 @@
 //!   oversized length prefix;
 //! * a live TCP server fed one byte per write, and a pipelined burst of
 //!   predicts whose replies must come back in submission order,
-//!   bitwise-equal to in-process `predict_many`.
+//!   bitwise-equal to in-process `predict_many`;
+//! * the opaque `ext` op against an in-test echo [`Extension`]: bodies
+//!   round-trip bitwise, routing and handler errors stay typed, and a
+//!   body-less frame is a recoverable `malformed-frame`.
 
 use std::io::Write;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use stco_cells::library::CellKind;
 use stco_obs::json::JsonValue;
 use stco_serve::demo::{demo_graph, train_demo_model};
-use stco_serve::protocol::{encode_frame, read_frame, FrameDecoder, Reply, Request};
+use stco_serve::protocol::{encode_frame, read_frame, write_frame, FrameDecoder, Reply, Request};
 use stco_serve::service::{BatchConfig, LoadedModel, ModelService, PredictInput};
-use stco_serve::TcpServer;
+use stco_serve::{Client, Extension, ServeError, TcpServer};
 use stco_surrogate::cell_model::{CellModel, METRICS};
 
 /// A mixed request stream covering every op shape (predict carries
@@ -45,7 +49,22 @@ fn mixed_docs() -> Vec<JsonValue> {
         }
         .to_json(),
         Request::Metrics.to_json(),
+        Request::Extension {
+            name: "echo".to_string(),
+            body: float_body(),
+        }
+        .to_json(),
     ]
+}
+
+/// An extension body carrying floats that only survive exact
+/// shortest-roundtrip rendering.
+fn float_body() -> JsonValue {
+    let values = [0.1, -1.0 / 3.0, 6.022_140_76e23, 1e-300, f64::MAX];
+    JsonValue::Obj(vec![(
+        "values".to_string(),
+        JsonValue::Arr(values.iter().map(|v| JsonValue::Num(*v)).collect()),
+    )])
 }
 
 /// Feeds `wire` into a fresh decoder in the given chunk sizes and
@@ -291,4 +310,58 @@ fn pipelined_predicts_reply_in_submission_order() {
     assert!(matches!(Reply::from_json(&reply), Ok(Reply::Pong)));
 
     server.stop();
+}
+
+/// Echoes its body; a body with a `fail` field answers a typed error.
+struct Echo;
+
+impl Extension for Echo {
+    fn call(&self, body: &JsonValue) -> stco_serve::Result<JsonValue> {
+        match body.get("fail") {
+            Some(_) => Err(ServeError::QueueFull { depth: 7 }),
+            None => Ok(body.clone()),
+        }
+    }
+}
+
+#[test]
+fn ext_op_routes_opaque_bodies_to_attached_extensions() {
+    let service = ModelService::start(None, BatchConfig::default());
+    let server = TcpServer::start("127.0.0.1:0", Arc::clone(&service)).expect("bind");
+    server.attach("echo", Arc::new(Echo));
+    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+
+    // No zeros or NaNs in the body, so float equality is bit equality.
+    let echoed = client.extension("echo", float_body()).expect("echo");
+    assert_eq!(echoed, float_body(), "floats must survive bitwise");
+
+    let failing = JsonValue::Obj(vec![("fail".to_string(), JsonValue::Bool(true))]);
+    for (name, body, want) in [
+        ("nope", float_body(), "bad-input"),
+        ("echo", failing, "queue-full"),
+    ] {
+        match client.extension(name, body) {
+            Err(ServeError::Remote { code, .. }) => assert_eq!(code, want, "{name}"),
+            other => panic!("{name}: expected a remote {want} error, got {other:?}"),
+        }
+    }
+
+    // A body-less `ext` frame is malformed but leaves the stream framed.
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    let bodyless = JsonValue::Obj(vec![
+        ("op".to_string(), JsonValue::Str("ext".to_string())),
+        ("name".to_string(), JsonValue::Str("echo".to_string())),
+    ]);
+    write_frame(&mut stream, &bodyless).expect("write");
+    let reply = read_frame(&mut stream).expect("read").expect("reply");
+    match Reply::from_json(&reply).expect("decode") {
+        Reply::Error { code, .. } => assert_eq!(code, "malformed-frame"),
+        other => panic!("expected error reply, got {other:?}"),
+    }
+    write_frame(&mut stream, &Request::Ping.to_json()).expect("write");
+    let reply = read_frame(&mut stream).expect("read").expect("reply");
+    assert_eq!(Reply::from_json(&reply).expect("decode"), Reply::Pong);
+
+    server.stop();
+    service.shutdown();
 }

@@ -79,6 +79,28 @@ fn single_shard_routes_everything_to_zero() {
     service.shutdown();
 }
 
+/// Ring placement is part of the deployment contract: a change to the
+/// hash or the vnode layout would silently re-home every cached model.
+#[test]
+fn routing_is_pinned_for_known_ids() {
+    let service = ModelService::start(
+        None,
+        BatchConfig {
+            shards: 4,
+            ..BatchConfig::default()
+        },
+    );
+    for (id, home) in [
+        ("cell-model:0000000000000000", 2),
+        ("cell-model:9e3779b97f4a7c15", 3),
+        ("cell-model:3c6ef372fe94f82a", 0),
+        ("cell-model:78dde6e5fd29f054", 1),
+    ] {
+        assert_eq!(service.shard_for(id), home, "{id}");
+    }
+    service.shutdown();
+}
+
 #[test]
 fn drain_completes_inflight_work_and_rejects_new_submits() {
     let service = ModelService::start(

@@ -21,10 +21,11 @@
 //!   pluggable [`engine::ScenarioEval`] (real STCO flow, or the
 //!   closed-form synthetic model used by tests and ablations).
 //! * [`remote`] — the **distributed half**: a [`remote::SweepQueue`]
-//!   plugs into the stco-serve TCP front end via the `sweep` wire op
-//!   (`stco_serve::SweepBackend`) so remote workers can lease and
-//!   complete scenarios over the network; completions land in the same
-//!   journal.
+//!   attaches to the stco-serve TCP front end as the `sweep`
+//!   [`stco_serve::Extension`], and this module owns the lease /
+//!   complete / status bodies carried by serve's opaque `ext` op, so
+//!   remote workers can lease and complete scenarios over the network;
+//!   completions land in the same journal.
 //! * [`pareto`] — non-dominated front extraction over
 //!   (delay, power, area) with markdown / JSONL reports and a bitwise
 //!   front fingerprint for identity checks.
@@ -50,7 +51,10 @@ pub use engine::{
 pub use explore::{explorer_ablation, samples_to_cost, AblationCell, AblationReport};
 pub use journal::{ScenarioResult, SweepJournal, RECORD_KIND};
 pub use pareto::{dominates, front_fingerprint, front_jsonl, front_markdown, pareto_front};
-pub use remote::{run_remote_worker, SweepQueue};
+pub use remote::{
+    run_remote_worker, sweep_complete, sweep_lease, sweep_status, LeasedScenario, SweepQueue,
+    SweepQueueStatus,
+};
 pub use scenario::{benchmark_from_name, technology_from_name, Scenario, SweepSpec};
 
 use std::fmt;

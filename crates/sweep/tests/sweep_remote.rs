@@ -1,14 +1,15 @@
-//! Distributed sweep over the TCP `sweep` wire op: a [`SweepQueue`]
-//! attached to a live server, drained by concurrent remote workers,
-//! must reproduce the local engine's Pareto front bitwise.
+//! Distributed sweep over serve's `ext` wire op: a [`SweepQueue`]
+//! attached to a live server as the `sweep` extension, drained by
+//! concurrent remote workers, must reproduce the local engine's Pareto
+//! front bitwise.
 
 use std::sync::Arc;
 
-use stco_serve::{BatchConfig, Client, ModelService, SweepBackend, TcpServer};
+use stco_serve::{BatchConfig, Client, ModelService, TcpServer};
 use stco_store::Registry;
 use stco_sweep::{
-    front_fingerprint, pareto_front, run_remote_worker, Result, SweepEngine, SweepQueue, SweepSpec,
-    SyntheticEval,
+    front_fingerprint, pareto_front, run_remote_worker, sweep_complete, sweep_lease, sweep_status,
+    Result, SweepEngine, SweepQueue, SweepSpec, SyntheticEval,
 };
 
 fn temp_registry(tag: &str) -> Registry {
@@ -38,8 +39,8 @@ fn remote_workers_reproduce_the_local_front_bitwise() -> Result<()> {
     let service = ModelService::start(None, BatchConfig::default());
     let (queue, resumed) = SweepQueue::open(&spec, temp_registry("server"))?;
     assert_eq!(resumed, 0);
-    service.attach_sweep(Arc::clone(&queue) as Arc<dyn SweepBackend>);
     let server = TcpServer::start("127.0.0.1:0", Arc::clone(&service)).expect("server");
+    server.attach("sweep", queue.clone());
     let addr = server.addr().to_string();
 
     // Two concurrent workers drain the queue.
@@ -61,14 +62,16 @@ fn remote_workers_reproduce_the_local_front_bitwise() -> Result<()> {
 
     // Wire-level status agrees.
     let mut client = Client::connect(&addr).expect("client");
-    let status = client.sweep_status().expect("status");
+    let status = sweep_status(&mut client).expect("status");
     assert_eq!(status.total, spec.scenario_count());
     assert_eq!(status.completed, spec.scenario_count());
     assert_eq!(status.pending, 0);
     assert_eq!(status.leased, 0);
 
     // An idle worker leases nothing.
-    assert!(client.sweep_lease("late", 4).expect("lease").is_empty());
+    assert!(sweep_lease(&mut client, "late", 4)
+        .expect("lease")
+        .is_empty());
 
     // The server-journaled records render the same front, bitwise.
     let remote_front = front_fingerprint(&pareto_front(&queue.records()?));
@@ -84,7 +87,7 @@ fn sweep_op_without_a_queue_is_a_typed_reject() {
     let service = ModelService::start(None, BatchConfig::default());
     let server = TcpServer::start("127.0.0.1:0", Arc::clone(&service)).expect("server");
     let mut client = Client::connect(&server.addr().to_string()).expect("client");
-    let err = client.sweep_status().expect_err("no queue attached");
+    let err = sweep_status(&mut client).expect_err("no queue attached");
     match err {
         stco_serve::ServeError::Remote { code, .. } => assert_eq!(code, "bad-input"),
         other => panic!("expected a remote bad-input error, got {other:?}"),
@@ -107,13 +110,13 @@ fn completion_survives_a_server_side_restart() -> Result<()> {
 
     let service = ModelService::start(None, BatchConfig::default());
     let (queue, _) = SweepQueue::open(&spec, open())?;
-    service.attach_sweep(Arc::clone(&queue) as Arc<dyn SweepBackend>);
     let server = TcpServer::start("127.0.0.1:0", Arc::clone(&service)).expect("server");
+    server.attach("sweep", queue.clone());
     let addr = server.addr().to_string();
 
     // One worker completes a handful of leases, then "dies".
     let mut client = Client::connect(&addr).expect("client");
-    let leased = client.sweep_lease("w0", 10).expect("lease");
+    let leased = sweep_lease(&mut client, "w0", 10).expect("lease");
     assert_eq!(leased.len(), 10);
     let scenarios = queue.scenarios().to_vec();
     for lease in &leased[..6] {
@@ -122,9 +125,7 @@ fn completion_survives_a_server_side_restart() -> Result<()> {
             scenarios[lease.index].benchmark,
             scenarios[lease.index].corner,
         );
-        assert!(client
-            .sweep_complete(&lease.id, &result.to_values())
-            .expect("complete"));
+        assert!(sweep_complete(&mut client, &lease.id, &result.to_values()).expect("complete"));
     }
     server.stop();
     service.shutdown();

@@ -139,6 +139,36 @@ fn bench_blocked_gemm(c: &mut Criterion) {
     }
 }
 
+/// A RelGAT attention score on the device mesh of the Table I
+/// surrogates (head width 8): the `[edges × 3·head_dim]` concatenation
+/// against the `[3·head_dim × 1]` attention vector, once per layer of
+/// every Poisson/IV forward. `gemm_into` sends `n = 1` to its row-dot
+/// kernel (DESIGN.md §15).
+const MESH_EDGES: usize = 1171;
+const ATTN_WIDTH: usize = 24;
+
+fn bench_attention_score(c: &mut Criterion) {
+    let mut rng = Xorshift::new(5);
+    let cat = random_matrix(&mut rng, MESH_EDGES, ATTN_WIDTH);
+    let attn = random_matrix(&mut rng, ATTN_WIDTH, 1);
+    let mut group = c.benchmark_group("gemm_attention_score_1171x24x1");
+    group.bench_function("naive", |b| {
+        let mut out = Matrix::zeros(MESH_EDGES, 1);
+        b.iter(|| {
+            out.reset_zeroed(MESH_EDGES, 1);
+            cat.gemm_into_naive(&attn, &mut out);
+        })
+    });
+    group.bench_function("gemm_into", |b| {
+        let mut out = Matrix::zeros(MESH_EDGES, 1);
+        b.iter(|| {
+            out.reset_zeroed(MESH_EDGES, 1);
+            cat.gemm_into(&attn, &mut out);
+        })
+    });
+    group.finish();
+}
+
 /// Encodes one cell graph per (kind, corner) pair, cycling until `n`
 /// graphs exist — the inference population the serving path batches.
 fn encoded_graphs(n: usize) -> Vec<CellGraph> {
@@ -282,6 +312,7 @@ criterion_group!(
     benches,
     bench_gemm,
     bench_blocked_gemm,
+    bench_attention_score,
     bench_batched_forward,
     bench_lu,
     bench_charac_transient

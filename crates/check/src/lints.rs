@@ -174,6 +174,10 @@ impl Default for LintConfig {
                 ),
                 ("cells", &["characterize", "characterize_subset"]),
                 (
+                    "core",
+                    &["run_iteration", "fast_device_solution", "predicted_library"],
+                ),
+                (
                     "system",
                     &["analyze_timing", "analyze_power", "place", "evaluate"],
                 ),

@@ -18,6 +18,7 @@ use stco_cells::library::{CellType, SeqBehavior};
 use stco_compact::extract::{extract_parameters, TransferCurve};
 use stco_compact::tech::{Corner, TechnologyCard};
 use stco_numerics::interp::Bilinear;
+use stco_par::ParConfig;
 use stco_surrogate::cell_model::{metric_index, CellModel};
 use stco_surrogate::iv_predictor::IvPredictor;
 use stco_surrogate::poisson_emulator::PoissonEmulator;
@@ -214,53 +215,30 @@ impl StcoFlow {
         let device = spec.build()?;
         let (gates, vd) = self.gate_sweep(corner);
 
-        // Stage 1: device simulation.
+        // Stage 1: device simulation. The gate points are independent
+        // solves, fanned out over stco-par in input order.
         timer.start("device");
-        let iv_points: Vec<(f64, f64)> = match stage {
-            TechnologyStage::Traditional => {
-                let mut out = Vec::with_capacity(gates.len());
-                for &vg in &gates {
-                    let sol = solve_poisson(
-                        &device,
-                        Bias {
-                            gate: vg,
-                            drain: vd,
-                        },
-                    )?;
-                    out.push((
-                        vg,
-                        drain_current(
-                            &device,
-                            &sol,
-                            Bias {
-                                gate: vg,
-                                drain: vd,
-                            },
-                        ),
-                    ));
-                }
-                out
-            }
-            TechnologyStage::Fast => {
-                let s = surrogates.ok_or_else(|| StcoError::InvalidConfig {
-                    context: "fast flow requires trained surrogates".into(),
-                })?;
-                let mut out = Vec::with_capacity(gates.len());
-                for &vg in &gates {
-                    let sample = fast_device_solution(
-                        &spec,
-                        Bias {
-                            gate: vg,
-                            drain: vd,
-                        },
-                        &s.poisson,
-                    )?;
-                    let sign = spec.channel.polarity.sign();
-                    out.push((vg, sign * s.iv.predict_current(&sample)));
-                }
-                out
-            }
+        let fast = match stage {
+            TechnologyStage::Traditional => None,
+            TechnologyStage::Fast => Some(surrogates.ok_or_else(|| StcoError::InvalidConfig {
+                context: "fast flow requires trained surrogates".into(),
+            })?),
         };
+        let sign = spec.channel.polarity.sign();
+        let iv_points = stco_par::try_par_map(ParConfig::current(), &gates, |&vg| {
+            let bias = Bias {
+                gate: vg,
+                drain: vd,
+            };
+            let id = match fast {
+                None => drain_current(&device, &solve_poisson(&device, bias)?, bias),
+                Some(s) => {
+                    let sample = fast_device_solution(&spec, bias, &s.poisson)?;
+                    sign * s.iv.predict_current(&sample)
+                }
+            };
+            Ok::<_, StcoError>((vg, id))
+        })?;
         timer.finish();
 
         // Stage 2: compact-model extraction (shared).
@@ -285,14 +263,9 @@ impl StcoFlow {
 
         // Stage 3: cell-library characterization.
         timer.start("cells");
-        let library = match stage {
-            TechnologyStage::Traditional => {
-                Library::characterize_subset(&card, &self.config.char_config, &self.cells)?
-            }
-            TechnologyStage::Fast => {
-                let s = surrogates.expect("checked above");
-                predicted_library(&self.cells, &card, &s.cells, &self.config.char_config)
-            }
+        let library = match fast {
+            None => Library::characterize_subset(&card, &self.config.char_config, &self.cells)?,
+            Some(s) => predicted_library(&self.cells, &card, &s.cells, &self.config.char_config),
         };
         timer.finish();
 
@@ -427,16 +400,19 @@ fn derived_solution(
 /// Builds a fully surrogate-predicted library: NLDM tables, capacitance,
 /// leakage, switching energy and sequential constraints all come from
 /// the GCN; only the layout area stays analytic (it is geometric).
+///
+/// Cells are predicted independently over stco-par and kept in input
+/// order, so the library is bitwise the same at any thread count.
 pub fn predicted_library(
     cells: &[CellType],
     card: &TechnologyCard,
     model: &CellModel,
     config: &CharConfig,
 ) -> Library {
+    let _span = stco_obs::span!("flow.predicted_library", cells = cells.len());
     let slews = expand(&config.slews);
     let loads = expand(&config.loads);
-    let mut out = Vec::with_capacity(cells.len());
-    for cell in cells {
+    let out = stco_par::par_map(ParConfig::current(), cells, |cell| {
         let built = cell.build(card, 1.0);
         let context = |slew: f64, load: f64| -> EncodingContext {
             let mut ctx = EncodingContext::default();
@@ -484,7 +460,7 @@ pub fn predicted_library(
         // All scalar metrics share one trunk evaluation on the nominal
         // graph (bitwise-identical to per-metric predicts).
         let nominal_values = model.predict_many(&nominal, &metrics);
-        out.push(LibCell {
+        LibCell {
             kind: cell.kind,
             name: cell.name.to_string(),
             area: built.area(),
@@ -495,8 +471,8 @@ pub fn predicted_library(
             min_setup: seq.then(|| nominal_values[3]),
             min_hold: seq.then(|| nominal_values[4]),
             min_pulse_width: seq.then(|| nominal_values[5]),
-        });
-    }
+        }
+    });
     Library {
         card: card.clone(),
         cells: out,

@@ -196,13 +196,34 @@ impl Graph {
         Graph::default()
     }
 
-    /// Clears the tape for the next forward pass, recycling every node
-    /// value into the internal buffer pool. Reusing one `Graph` across
-    /// iterations (instead of constructing a fresh one) lets forward and
-    /// backward run allocation-free once the pool has warmed up.
+    /// Clears the tape for the next forward pass, recycling every leased
+    /// node value into the internal buffer pool. Reusing one `Graph`
+    /// across iterations (instead of constructing a fresh one) lets
+    /// forward and backward run allocation-free once the pool has warmed
+    /// up.
+    ///
+    /// The pool keeps only buffers of the shapes the finished pass
+    /// produced:
+    ///
+    /// * [`Graph::input`] values are caller-owned, not leased, and are
+    ///   dropped. A pass leases only as many buffers as its ops give
+    ///   back, so parking inputs too would add one buffer per input on
+    ///   every pass.
+    /// * Free buffers of any other shape are dropped. One-shot inference
+    ///   shapes follow the input (a serving batch's node count), and a
+    ///   pool that kept every shape ever seen would grow without bound.
+    ///   Passes that repeat their shapes keep reusing the same buffers.
     pub fn reset(&mut self) {
+        let nodes = &self.nodes;
+        self.pool.free.retain(|&(rows, cols), _| {
+            nodes.iter().any(|n| {
+                !matches!(n.op, Op::Input) && n.value.rows() == rows && n.value.cols() == cols
+            })
+        });
         while let Some(node) = self.nodes.pop() {
-            self.pool.recycle(node.value);
+            if !matches!(node.op, Op::Input) {
+                self.pool.recycle(node.value);
+            }
         }
     }
 
@@ -1359,6 +1380,37 @@ mod tests {
             .collect();
         assert_eq!(g1, ref_g1, "recycled buffers must not change gradient bits");
         assert_eq!(g2, ref_g2, "recycled buffers must not change gradient bits");
+    }
+
+    #[test]
+    fn reset_keeps_the_free_list_bounded_across_fresh_inputs() {
+        // The inference pattern of `Graph::with_scratch`: every pass
+        // hands the tape newly built inputs, whose row count changes
+        // from pass to pass as a serving batch's does. Neither the
+        // inputs nor the buffers of earlier shapes may pile up, so the
+        // free list holds one pass's buffers after every reset.
+        let mut rng = Xorshift::new(23);
+        let mut params = Params::new(24);
+        let w1 = params.glorot(3, 4);
+        let w2 = params.glorot(4, 1);
+        let mut g = Graph::new();
+        let forward = |g: &mut Graph, rng: &mut Xorshift, rows: usize| {
+            let x = g.input(random_matrix(rng, rows, 3));
+            let a = g.param(&params, w1);
+            let b = g.param(&params, w2);
+            let h = g.matmul(x, a);
+            let h = g.relu(h);
+            g.matmul(h, b)
+        };
+        forward(&mut g, &mut rng, 5);
+        g.reset();
+        let settled = g.free_buffers();
+        assert_eq!(settled, 5, "two param copies and three op outputs");
+        for pass in 0..100 {
+            forward(&mut g, &mut rng, 5 + pass % 7);
+            g.reset();
+            assert_eq!(g.free_buffers(), settled, "pass {pass}");
+        }
     }
 
     #[test]

@@ -169,12 +169,14 @@ impl Matrix {
 
     /// Accumulating GEMM: `out += self · rhs`, no allocation.
     ///
-    /// Dispatches to the cache-blocked, register-tiled kernel in
-    /// [`crate::gemm`] once the product is large enough to amortize the
-    /// pack step ([`crate::gemm::use_blocked`]); MNA-sized products stay
-    /// on the naive ikj loop. Both paths produce bitwise-identical
-    /// results (proptest-pinned), so the dispatch is invisible to the
-    /// determinism contract.
+    /// The kernel is picked from the operand shapes, in this order: a
+    /// single-column `rhs` (attention scores, MLP output layers) takes a
+    /// row-dot loop; otherwise the cache-blocked, register-tiled kernel
+    /// in [`crate::gemm`] runs once the product is large enough to
+    /// amortize the pack step ([`crate::gemm::use_blocked`]), and
+    /// MNA-sized products stay on the naive ikj loop. Every path produces
+    /// bitwise-identical results (proptest-pinned), so the dispatch is
+    /// invisible to the determinism contract.
     ///
     /// The dense path deliberately has no per-scalar zero-skip: on dense
     /// operands the branch defeats pipelining and costs more than the
@@ -186,15 +188,35 @@ impl Matrix {
     /// Panics if `self.cols() != rhs.rows()` or `out` is not
     /// `self.rows() × rhs.cols()`.
     pub fn gemm_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        if gemm::use_blocked(self.rows, rhs.cols, self.cols) {
+        if rhs.cols == 1 {
+            self.gemm_into_row_dot(rhs, out);
+        } else if gemm::use_blocked(self.rows, rhs.cols, self.cols) {
             self.gemm_into_blocked(rhs, out);
         } else {
             self.gemm_into_naive(rhs, out);
         }
     }
 
+    /// The `n = 1` kernel behind [`Matrix::gemm_into`]: each `out[i]`
+    /// accumulates `self[i][k] · rhs[k]` over ascending `k`, one rounded
+    /// multiply-then-add per step. That is the naive ikj kernel's exact
+    /// sequence, without its one-element inner loop.
+    // stco-hot
+    fn gemm_into_row_dot(&self, rhs: &Matrix, out: &mut Matrix) {
+        self.check_nn_shapes(rhs, out);
+        let k = self.cols;
+        for (i, o) in out.data.iter_mut().enumerate() {
+            let mut acc = *o;
+            for (a, b) in self.data[i * k..(i + 1) * k].iter().zip(&rhs.data) {
+                acc += a * b;
+            }
+            *o = acc;
+        }
+    }
+
     /// The naive ikj kernel behind [`Matrix::gemm_into`]: the proptest
-    /// oracle for the blocked path and the small-product fast path.
+    /// oracle for the blocked and row-dot paths, and the small-product
+    /// fast path.
     // stco-hot
     pub fn gemm_into_naive(&self, rhs: &Matrix, out: &mut Matrix) {
         self.check_nn_shapes(rhs, out);

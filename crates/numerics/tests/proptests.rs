@@ -5,6 +5,7 @@
 use proptest::prelude::*;
 use stco_numerics::dense::{norm2, Matrix};
 use stco_numerics::dense32::MatrixF32;
+use stco_numerics::gemm::BLOCK_MIN_FLOPS;
 use stco_numerics::interp::Bilinear;
 use stco_numerics::solve::{bicgstab, conjugate_gradient, IterOptions};
 use stco_numerics::sparse::CsrMatrix;
@@ -171,6 +172,29 @@ proptest! {
         a.gemm_into_naive(&b, &mut naive);
         a.gemm_into_blocked(&b, &mut blocked);
         for (x, y) in blocked.as_slice().iter().zip(naive.as_slice()) {
+            prop_assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
+    #[test]
+    fn single_column_gemm_bitwise_matches_naive_oracle(
+        shape in (1usize..BLOCK_MIN_FLOPS / 16, 0usize..40),
+        seed in 1u64..u64::MAX,
+        fill in -3.0..3.0f64,
+    ) {
+        // `rhs.cols() == 1` takes the row-dot kernel, which is checked
+        // before the size rule: m·k spans both sides of BLOCK_MIN_FLOPS
+        // (up to ~2.4× it; the attention-score shape 1171×24 sits just
+        // below it), k = 0 included, accumulating into a nonzero out.
+        let (m, k) = shape;
+        let mut rng = stco_numerics::rng::Xorshift::new(seed | 1);
+        let a = Matrix::from_vec(m, k, (0..m * k).map(|_| rng.uniform_in(-5.0, 5.0)).collect());
+        let b = Matrix::from_vec(k, 1, (0..k).map(|_| rng.uniform_in(-5.0, 5.0)).collect());
+        let mut naive = Matrix::full(m, 1, fill);
+        let mut dispatched = naive.clone();
+        a.gemm_into_naive(&b, &mut naive);
+        a.gemm_into(&b, &mut dispatched);
+        for (x, y) in dispatched.as_slice().iter().zip(naive.as_slice()) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
         }
     }

@@ -78,23 +78,36 @@ pub struct IvPredictor {
     target_std: f64,
 }
 
-struct EncodedIv {
-    graph: GraphData,
+/// The index lists one forward pass needs beside the graph: edge
+/// endpoints and the all-zero pooling segment.
+struct IvIndex {
     src: Arc<Vec<usize>>,
     dst: Arc<Vec<usize>>,
     seg: Arc<Vec<usize>>,
+}
+
+impl IvIndex {
+    fn of(graph: &GraphData) -> Self {
+        let (src, dst) = index_lists(graph);
+        IvIndex {
+            src,
+            dst,
+            seg: Arc::new(vec![0usize; graph.num_nodes()]),
+        }
+    }
+}
+
+struct EncodedIv {
+    graph: GraphData,
+    index: IvIndex,
     target: f64,
 }
 
 fn encode(sample: &DeviceSample) -> EncodedIv {
     let graph = encode_device(sample, TaskFeatures::Iv);
-    let (src, dst) = index_lists(&graph);
-    let seg = Arc::new(vec![0usize; graph.num_nodes()]);
     EncodedIv {
+        index: IvIndex::of(&graph),
         graph,
-        src,
-        dst,
-        seg,
         target: sample.log_current(),
     }
 }
@@ -185,7 +198,7 @@ impl IvPredictor {
                 let loss =
                     parallel_batch_step(ParConfig::current(), params, batch, |g, params, idx| {
                         let item = &encoded[idx];
-                        let pred = forward_one(&stack, &head, params, item, g);
+                        let pred = forward_one(&stack, &head, params, &item.graph, &item.index, g);
                         let t = g.input(stco_numerics::Matrix::from_vec(
                             1,
                             1,
@@ -204,7 +217,7 @@ impl IvPredictor {
                 let mut total = 0.0;
                 for item in &val_encoded {
                     let p = Graph::with_scratch(|g| {
-                        let pred = forward_one(&stack, &head, params, item, g);
+                        let pred = forward_one(&stack, &head, params, &item.graph, &item.index, g);
                         g.value(pred).get(0, 0)
                     });
                     let t = (item.target - t_mean) / t_std;
@@ -226,16 +239,9 @@ impl IvPredictor {
     /// [`IvPredictor::predict_log_current`] on the sample the graph was
     /// encoded from.
     pub fn predict_log_current_graph(&self, graph: &GraphData) -> f64 {
-        let (src, dst) = index_lists(graph);
-        let item = EncodedIv {
-            graph: graph.clone(),
-            src,
-            dst,
-            seg: Arc::new(vec![0usize; graph.num_nodes()]),
-            target: 0.0,
-        };
+        let index = IvIndex::of(graph);
         Graph::with_scratch(|g| {
-            let pred = forward_one(&self.stack, &self.head, &self.params, &item, g);
+            let pred = forward_one(&self.stack, &self.head, &self.params, graph, &index, g);
             g.value(pred).get(0, 0) * self.target_std + self.target_mean
         })
     }
@@ -335,25 +341,20 @@ impl IvPredictor {
     }
 }
 
+/// One forward pass over a borrowed graph: its two feature matrices are
+/// the only data copied (onto the tape).
 fn forward_one(
     stack: &RelGatStack,
     head: &Mlp,
     params: &Params,
-    item: &EncodedIv,
+    graph: &GraphData,
+    index: &IvIndex,
     g: &mut Graph,
 ) -> stco_nn::ad::NodeId {
-    let x = g.input(item.graph.node_features.clone());
-    let e = g.input(item.graph.edge_features.clone());
-    let h = stack.forward(
-        g,
-        params,
-        x,
-        e,
-        &item.src,
-        &item.dst,
-        item.graph.num_nodes(),
-    );
-    let pooled = g.segment_mean(h, Arc::clone(&item.seg), 1);
+    let x = g.input(graph.node_features.clone());
+    let e = g.input(graph.edge_features.clone());
+    let h = stack.forward(g, params, x, e, &index.src, &index.dst, graph.num_nodes());
+    let pooled = g.segment_mean(h, Arc::clone(&index.seg), 1);
     head.forward(g, params, pooled)
 }
 

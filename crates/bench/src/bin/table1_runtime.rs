@@ -558,12 +558,20 @@ fn main() {
         &cells,
     )
     .expect("library");
+    // The median of a few calls: the largest design evaluates in tens of
+    // milliseconds, where one cold call's noise can reorder designs.
     let mut all_measured = Vec::new();
     for bench in Benchmark::ALL {
         let logic = bench.generate();
-        let t0 = std::time::Instant::now();
-        let _ = evaluate_system(&logic, &lib, &EvalConfig::fast()).expect("evaluates");
-        all_measured.push((bench, t0.elapsed().as_secs_f64()));
+        let mut seconds: Vec<f64> = (0..5)
+            .map(|_| {
+                let t0 = std::time::Instant::now();
+                let _ = evaluate_system(&logic, &lib, &EvalConfig::fast()).expect("evaluates");
+                t0.elapsed().as_secs_f64()
+            })
+            .collect();
+        seconds.sort_by(f64::total_cmp);
+        all_measured.push((bench, seconds[seconds.len() / 2]));
     }
     println!(
         "{:<12} {:>12} {:>12} {:>10} {:>9}",

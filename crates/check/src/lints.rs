@@ -179,7 +179,13 @@ impl Default for LintConfig {
                 ),
                 (
                     "system",
-                    &["analyze_timing", "analyze_power", "place", "evaluate"],
+                    &[
+                        "analyze_timing",
+                        "analyze_power",
+                        "place",
+                        "evaluate",
+                        "simulate_activity",
+                    ],
                 ),
                 ("store", &["load", "put"]),
                 (

@@ -178,6 +178,12 @@ impl LogicNetlist {
     ///
     /// Returns [`SystemError::BadNetlist`] describing the violation.
     pub fn validate(&self) -> Result<()> {
+        self.checked_order().map(|_| ())
+    }
+
+    /// [`LogicNetlist::validate`]'s checks, returning the topological
+    /// order they end with, so a simulator sorts once.
+    fn checked_order(&self) -> Result<Vec<usize>> {
         for (i, ff) in self.flip_flops.iter().enumerate() {
             if ff.d == usize::MAX {
                 return Err(SystemError::BadNetlist {
@@ -202,8 +208,7 @@ impl LogicNetlist {
                 });
             }
         }
-        self.topological_order()?;
-        Ok(())
+        self.topological_order()
     }
 
     /// Topological order of the combinational gates (FF outputs and
@@ -256,16 +261,6 @@ impl LogicNetlist {
         Ok(order)
     }
 
-    /// Evaluates one combinational settle given net values for inputs and
-    /// FF outputs; fills gate outputs in `values`.
-    fn settle(&self, order: &[usize], values: &mut [bool]) {
-        for &gi in order {
-            let g = &self.gates[gi];
-            let ins: Vec<bool> = g.inputs.iter().map(|&n| values[n]).collect();
-            values[g.output] = g.op.eval(&ins);
-        }
-    }
-
     /// Simulates `cycles` clock cycles with random primary inputs and
     /// returns the per-net toggle probability (transitions per cycle).
     ///
@@ -273,36 +268,27 @@ impl LogicNetlist {
     ///
     /// Propagates validation failures.
     pub fn simulate_activity(&self, cycles: usize, seed: u64) -> Result<Vec<f64>> {
-        self.validate()?;
-        let order = self.topological_order()?;
+        let _span = stco_obs::span!("system.simulate_activity", cycles = cycles);
+        let mut sim = Simulator::new(self)?;
         let mut rng = Xorshift::new(seed);
-        let mut values = vec![false; self.num_nets];
-        let mut prev = values.clone();
+        let mut prev = sim.values.clone();
         let mut toggles = vec![0usize; self.num_nets];
         for cycle in 0..cycles {
-            // Clock edge: FFs capture their D from the previous settle.
             if cycle > 0 {
-                let captured: Vec<(NetId, bool)> = self
-                    .flip_flops
-                    .iter()
-                    .map(|ff| (ff.q, values[ff.d]))
-                    .collect();
-                for (q, v) in captured {
-                    values[q] = v;
-                }
+                sim.clock();
             }
             for &pi in &self.primary_inputs {
-                values[pi] = rng.chance(0.5);
+                sim.values[pi] = rng.chance(0.5);
             }
-            self.settle(&order, &mut values);
+            sim.settle();
             if cycle > 0 {
-                for (n, t) in toggles.iter_mut().enumerate() {
-                    if values[n] != prev[n] {
+                for ((t, &now), &was) in toggles.iter_mut().zip(&sim.values).zip(&prev) {
+                    if now != was {
                         *t += 1;
                     }
                 }
             }
-            prev.copy_from_slice(&values);
+            prev.copy_from_slice(&sim.values);
         }
         Ok(toggles
             .into_iter()
@@ -318,9 +304,7 @@ impl LogicNetlist {
     /// Propagates validation failures; errors if a vector has the wrong
     /// width.
     pub fn simulate(&self, vectors: &[Vec<bool>]) -> Result<Vec<Vec<bool>>> {
-        self.validate()?;
-        let order = self.topological_order()?;
-        let mut values = vec![false; self.num_nets];
+        let mut sim = Simulator::new(self)?;
         let mut out = Vec::with_capacity(vectors.len());
         for (cycle, vec) in vectors.iter().enumerate() {
             if vec.len() != self.primary_inputs.len() {
@@ -329,22 +313,66 @@ impl LogicNetlist {
                 });
             }
             if cycle > 0 {
-                let captured: Vec<(NetId, bool)> = self
-                    .flip_flops
-                    .iter()
-                    .map(|ff| (ff.q, values[ff.d]))
-                    .collect();
-                for (q, v) in captured {
-                    values[q] = v;
-                }
+                sim.clock();
             }
             for (&pi, &v) in self.primary_inputs.iter().zip(vec) {
-                values[pi] = v;
+                sim.values[pi] = v;
             }
-            self.settle(&order, &mut values);
-            out.push(self.primary_outputs.iter().map(|&n| values[n]).collect());
+            sim.settle();
+            out.push(
+                self.primary_outputs
+                    .iter()
+                    .map(|&n| sim.values[n])
+                    .collect(),
+            );
         }
         Ok(out)
+    }
+}
+
+/// Cycle-simulation state of a validated netlist: net values, the gate
+/// order, and scratch buffers reused every cycle.
+struct Simulator<'a> {
+    netlist: &'a LogicNetlist,
+    order: Vec<usize>,
+    values: Vec<bool>,
+    /// One gate's input values.
+    inputs: Vec<bool>,
+    /// Every flip-flop's D at the clock edge.
+    captured: Vec<bool>,
+}
+
+impl<'a> Simulator<'a> {
+    fn new(netlist: &'a LogicNetlist) -> Result<Self> {
+        Ok(Simulator {
+            netlist,
+            order: netlist.checked_order()?,
+            values: vec![false; netlist.num_nets],
+            inputs: Vec::new(),
+            captured: Vec::with_capacity(netlist.flip_flops.len()),
+        })
+    }
+
+    /// Clock edge: every flip-flop captures its D from the previous
+    /// settle (all reads before any write, since one Q may feed another D).
+    fn clock(&mut self) {
+        let ffs = &self.netlist.flip_flops;
+        self.captured.clear();
+        self.captured.extend(ffs.iter().map(|ff| self.values[ff.d]));
+        for (ff, &v) in ffs.iter().zip(&self.captured) {
+            self.values[ff.q] = v;
+        }
+    }
+
+    /// One combinational settle: fills every gate output from the
+    /// primary inputs and flip-flop outputs.
+    fn settle(&mut self) {
+        for &gi in &self.order {
+            let g = &self.netlist.gates[gi];
+            self.inputs.clear();
+            self.inputs.extend(g.inputs.iter().map(|&n| self.values[n]));
+            self.values[g.output] = g.op.eval(&self.inputs);
+        }
     }
 }
 

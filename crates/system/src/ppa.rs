@@ -5,7 +5,7 @@ use stco_cells::liberty::Library;
 
 use crate::mapper::{map_netlist, MappedNetlist};
 use crate::netlist::LogicNetlist;
-use crate::place::{check_drc, check_lvs, place, PlaceConfig, Placement};
+use crate::place::{check_drc, check_lvs, place, PlaceConfig};
 use crate::power::{analyze_power, PowerReport};
 use crate::sta::{analyze_timing, TimingReport, WireModel};
 use crate::Result;
@@ -157,17 +157,6 @@ pub fn map_netlist_cells(logic: &LogicNetlist) -> Result<Vec<stco_cells::library
         .into_iter()
         .map(stco_cells::library::CellType::by_kind)
         .collect())
-}
-
-/// Returns the placement for callers needing physical data.
-///
-/// # Errors
-///
-/// Propagates placement failures.
-pub fn place_only(logic: &LogicNetlist, config: &EvalConfig) -> Result<(MappedNetlist, Placement)> {
-    let mapped = map_netlist(logic)?;
-    let placement = place(&mapped, &config.place)?;
-    Ok((mapped, placement))
 }
 
 #[cfg(test)]

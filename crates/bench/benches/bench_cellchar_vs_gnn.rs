@@ -57,6 +57,12 @@ fn bench_cellchar(c: &mut Criterion) {
     group.bench_function("spice_characterize_nand2", |b| {
         b.iter(|| characterize(&cell, &card, &config).expect("characterizes"))
     });
+    // A flip-flop: clock-to-Q plus the setup, hold and pulse-width
+    // bisections, whose capture transients resume from shared prefixes.
+    let dff = CellType::by_kind(CellKind::Dff);
+    group.bench_function("spice_characterize_dff", |b| {
+        b.iter(|| characterize(&dff, &card, &config).expect("characterizes"))
+    });
     group.bench_function("gcn_predict_delay", |b| {
         b.iter(|| model.predict(&graph, m_delay))
     });

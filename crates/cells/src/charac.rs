@@ -678,63 +678,29 @@ fn seq_stimuli(
     stimuli
 }
 
-/// A memoized sequential transient: the trace plus the bench handles
-/// needed to read it back.
+/// A simulated sequential bench and its trace.
 struct CachedTran {
+    bench: Bench,
     tr: TranResult,
-    out_node: NodeId,
-    vdd_branch: usize,
-    vdd: f64,
 }
 
-/// Content-keyed transient memo for the sequential measurements.
+/// Transient memo for the sequential measurements.
 ///
-/// Setup/hold/min-pulse bisections and the clock-to-Q grid re-run
-/// capture transients whose stimuli sometimes coincide exactly (e.g. the
-/// setup search's upper bracket replays a clock-to-Q stimulus). The memo
-/// keys on the *content* of the experiment — every waveform breakpoint
-/// bit pattern, the load, the window and the sample count — so a hit is
-/// bitwise-indistinguishable from re-simulating. Keys are structural
-/// (`Vec<u64>` in a `BTreeMap`), not hashes, so lookups are
-/// collision-free and deterministic. One memo lives for the duration of
-/// a single `characterize` call; distinct cells or corners change the
-/// built circuit and get fresh memos.
+/// Setup/hold/min-pulse bisections and the clock-to-Q grid rerun capture
+/// transients whose stimuli match an earlier run's bit for bit up to some
+/// time (a setup probe's D edge, a hold probe's D drop, a pulse probe's
+/// first clock fall), and sometimes over the whole window (the setup
+/// search's upper bracket replays a clock-to-Q run). The memo keeps every
+/// simulated bench circuit with its run. A new bench that agrees with a
+/// cached one through `t_stop` ([`Circuit::agrees_until`]) replays it;
+/// otherwise the bench resumes from the cached run it agrees with longest
+/// ([`Circuit::transient_resuming`]). Either way the trace is bitwise
+/// identical to simulating from `t = 0`, whichever run was reused. One
+/// memo lives for the duration of a single `characterize` call; distinct
+/// cells or corners change the built circuit and get fresh memos.
 #[derive(Default)]
 struct TranMemo {
-    map: BTreeMap<Vec<u64>, CachedTran>,
-}
-
-/// Appends a waveform's exact content (discriminant + bit patterns) to a
-/// structural memo key.
-fn push_waveform_key(key: &mut Vec<u64>, wave: &Waveform) {
-    match wave {
-        Waveform::Dc(v) => {
-            key.push(0);
-            key.push(v.to_bits());
-        }
-        Waveform::Pulse {
-            v0,
-            v1,
-            delay,
-            rise,
-            fall,
-            width,
-            period,
-        } => {
-            key.push(1);
-            for v in [v0, v1, delay, rise, fall, width, period] {
-                key.push(v.to_bits());
-            }
-        }
-        Waveform::Pwl(points) => {
-            key.push(2);
-            key.push(points.len() as u64);
-            for (t, v) in points {
-                key.push(t.to_bits());
-                key.push(v.to_bits());
-            }
-        }
-    }
+    runs: Vec<CachedTran>,
 }
 
 /// Runs (or replays) a sequential capture transient on output `Q`.
@@ -746,38 +712,37 @@ fn run_seq_transient<'a>(
     samples: usize,
     memo: &'a mut TranMemo,
 ) -> Result<&'a CachedTran> {
-    let mut key = Vec::with_capacity(8 + 16 * stimuli.len());
-    key.push(load.to_bits());
-    key.push(t_stop.to_bits());
-    key.push(samples as u64);
-    for (pin, wave) in stimuli {
-        // Pin names are static identifiers; their bytes keep same-shaped
-        // waveforms on different pins from colliding.
-        key.push(pin.len() as u64);
-        key.extend(pin.bytes().map(u64::from));
-        push_waveform_key(&mut key, wave);
-    }
+    let bench = make_bench(built, &map_keys(stimuli), "Q", load)?;
+    let config = TranConfig {
+        t_stop,
+        dt: t_stop / samples as f64,
+    };
+    let longest = memo
+        .runs
+        .iter()
+        .enumerate()
+        .filter(|(_, cached)| *cached.tr.config() == config)
+        .map(|(i, cached)| (i, bench.ckt.agrees_until(&cached.bench.ckt)))
+        .max_by(|a, b| a.1.total_cmp(&b.1));
     let metrics = stco_obs::Recorder::global().metrics();
-    match memo.map.entry(key) {
-        std::collections::btree_map::Entry::Occupied(e) => {
+    if let Some((i, until)) = longest {
+        if until >= t_stop {
             metrics.counter("cells.tran_memo_hits").inc();
-            Ok(e.into_mut())
-        }
-        std::collections::btree_map::Entry::Vacant(v) => {
-            metrics.counter("cells.tran_memo_misses").inc();
-            let bench = make_bench(built, &map_keys(stimuli), "Q", load)?;
-            let tr = bench.ckt.transient(&TranConfig {
-                t_stop,
-                dt: t_stop / samples as f64,
-            })?;
-            Ok(v.insert(CachedTran {
-                tr,
-                out_node: bench.out_node,
-                vdd_branch: bench.vdd_branch,
-                vdd: bench.vdd,
-            }))
+            return Ok(&memo.runs[i]);
         }
     }
+    metrics.counter("cells.tran_memo_misses").inc();
+    let tr = match longest {
+        Some((i, _)) => {
+            let earlier = &memo.runs[i];
+            bench
+                .ckt
+                .transient_resuming(&config, &earlier.bench.ckt, &earlier.tr)?
+        }
+        None => bench.ckt.transient(&config)?,
+    };
+    memo.runs.push(CachedTran { bench, tr });
+    Ok(&memo.runs[memo.runs.len() - 1])
 }
 
 /// Runs a sequential capture experiment; returns `(captured, trace)` where
@@ -791,8 +756,8 @@ fn run_capture(
     memo: &mut TranMemo,
 ) -> Result<(bool, f64)> {
     let cached = run_seq_transient(built, stimuli, load, t_stop, samples, memo)?;
-    let q = cached.tr.final_voltage(cached.out_node);
-    Ok((q > 0.5 * cached.vdd, q))
+    let q = cached.tr.final_voltage(cached.bench.out_node);
+    Ok((q > 0.5 * cached.bench.vdd, q))
 }
 
 fn map_keys<'a>(m: &'a BTreeMap<&'static str, Waveform>) -> BTreeMap<&'a str, Waveform> {
@@ -817,7 +782,7 @@ fn measure_clock_to_q(
     let stimuli = seq_stimuli(built, slew, period, d_edge, capture, pulse);
     let cached = run_seq_transient(built, &stimuli, load, t_stop, config.samples, memo)?;
     let tr = &cached.tr;
-    let q = tr.voltage_trace(cached.out_node);
+    let q = tr.voltage_trace(cached.bench.out_node);
     let times = tr.times();
     let ck_cross = capture + 0.5 * slew;
     let q_cross = crossing_time(times, &q, 0.5 * vdd, Edge::Rising, capture).map_err(|_| {
@@ -843,7 +808,7 @@ fn measure_clock_to_q(
     }];
     let (e, leak) = windowed_energy(
         times,
-        &tr.branch_current_trace(cached.vdd_branch),
+        &tr.branch_current_trace(cached.bench.vdd_branch),
         vdd,
         capture,
         (capture + period).min(t_stop),
@@ -1048,39 +1013,50 @@ mod tests {
         let period = (40.0 * tau).max(20.0 * slew);
         let capture = 3.0 * period;
         let t_stop = capture + 2.0 * period;
-        let stimuli = seq_stimuli(&built, slew, period, 2.0 * period, capture, 0.5 * period);
         let samples = 120;
+        let fresh_q = |stimuli: &BTreeMap<&'static str, Waveform>| -> Result<Vec<u64>> {
+            let bench = make_bench(&built, &map_keys(stimuli), "Q", load)?;
+            let fresh = bench.ckt.transient(&TranConfig {
+                t_stop,
+                dt: t_stop / samples as f64,
+            })?;
+            Ok(fresh
+                .voltage_trace(bench.out_node)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect())
+        };
+        let memo_q = |memo: &mut TranMemo, stimuli| -> Result<(Vec<u64>, Option<f64>)> {
+            let cached = run_seq_transient(&built, stimuli, load, t_stop, samples, memo)?;
+            Ok((
+                cached
+                    .tr
+                    .voltage_trace(cached.bench.out_node)
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect(),
+                cached.tr.resumed_at(),
+            ))
+        };
+        let stimuli = seq_stimuli(&built, slew, period, 2.0 * period, capture, 0.5 * period);
         let mut memo = TranMemo::default();
-        let (first_q, first_states) = {
-            let cached = run_seq_transient(&built, &stimuli, load, t_stop, samples, &mut memo)?;
-            (
-                cached.tr.final_voltage(cached.out_node),
-                cached.tr.voltage_trace(cached.out_node),
-            )
-        };
-        assert_eq!(memo.map.len(), 1);
-        // Second call with identical content must replay the same entry…
-        let replay_q = {
-            let cached = run_seq_transient(&built, &stimuli, load, t_stop, samples, &mut memo)?;
-            cached.tr.final_voltage(cached.out_node)
-        };
-        assert_eq!(memo.map.len(), 1, "identical content must hit the cache");
-        assert_eq!(first_q.to_bits(), replay_q.to_bits());
-        // …and that entry must be bitwise identical to an un-memoized run.
-        let bench = make_bench(&built, &map_keys(&stimuli), "Q", load)?;
-        let fresh = bench.ckt.transient(&TranConfig {
-            t_stop,
-            dt: t_stop / samples as f64,
-        })?;
-        let fresh_states = fresh.voltage_trace(bench.out_node);
-        assert_eq!(first_states.len(), fresh_states.len());
-        for (a, b) in first_states.iter().zip(&fresh_states) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // A content change (different pulse width) must miss.
-        let other = seq_stimuli(&built, slew, period, 2.0 * period, capture, 0.4 * period);
-        run_seq_transient(&built, &other, load, t_stop, samples, &mut memo)?;
-        assert_eq!(memo.map.len(), 2);
+        let (first, resumed) = memo_q(&mut memo, &stimuli)?;
+        assert_eq!((memo.runs.len(), resumed), (1, None));
+        assert_eq!(first, fresh_q(&stimuli)?);
+        // Identical content replays the cached run.
+        let (replay, _) = memo_q(&mut memo, &stimuli)?;
+        assert_eq!(memo.runs.len(), 1, "identical content must replay");
+        assert_eq!(replay, first);
+        // A later D edge shares the window up to the earlier D edge: the
+        // run resumes there and still equals a fresh transient.
+        let later = seq_stimuli(&built, slew, period, 2.5 * period, capture, 0.5 * period);
+        let (resumed_q, resumed) = memo_q(&mut memo, &later)?;
+        assert_eq!(memo.runs.len(), 2);
+        assert!(
+            matches!(resumed, Some(at) if at > 0.0 && at <= 2.0 * period),
+            "resumed at {resumed:?}"
+        );
+        assert_eq!(resumed_q, fresh_q(&later)?);
         Ok(())
     }
 

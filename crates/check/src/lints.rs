@@ -166,7 +166,10 @@ impl Default for LintConfig {
             shim_crates: &["proptest", "criterion"],
             span_entrypoints: &[
                 ("tcad", &["solve_poisson", "simulate_point"]),
-                ("spice", &["transient_with", "dc_operating_point"]),
+                (
+                    "spice",
+                    &["transient_with", "transient_resuming", "dc_operating_point"],
+                ),
                 ("nn", &["fit"]),
                 (
                     "par",

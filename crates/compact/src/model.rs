@@ -109,6 +109,39 @@ impl CompactModel {
         self.device_type
     }
 
+    /// Whether every parameter has the same bits as `other`'s. Unlike
+    /// `==`, this tells 0.0 from −0.0, so equal models are guaranteed to
+    /// evaluate to equal bits.
+    pub fn bitwise_eq(&self, other: &CompactModel) -> bool {
+        // Destructured so that a new parameter cannot be left out.
+        let CompactModel {
+            device_type,
+            mu0,
+            vth,
+            gamma,
+            cox,
+            width,
+            length,
+            ss_factor,
+            lambda,
+            leak_conductance,
+        } = self;
+        *device_type == other.device_type
+            && [
+                (mu0, other.mu0),
+                (vth, other.vth),
+                (gamma, other.gamma),
+                (cox, other.cox),
+                (width, other.width),
+                (length, other.length),
+                (ss_factor, other.ss_factor),
+                (lambda, other.lambda),
+                (leak_conductance, other.leak_conductance),
+            ]
+            .iter()
+            .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+
     /// Builds a model with explicit polarity and core parameters, keeping
     /// the reference values for the rest.
     pub fn with_params(device_type: DeviceType, mu0: f64, vth: f64, gamma: f64) -> Self {

@@ -5,7 +5,13 @@
 //! iteration, node-voltage updates are clamped to ±0.5 V, and a small
 //! g-min ties every node to ground. DC falls back to source stepping when
 //! cold-start Newton fails; the backward-Euler transient halves its step
-//! on Newton failure (up to 10 times) before giving up.
+//! on Newton failure (up to 10 times) before giving up. A transient can
+//! also resume from the prefix it shares with an earlier run
+//! ([`Circuit::transient_resuming`]), bit for bit the same as a full run.
+
+use std::sync::OnceLock;
+
+use stco_obs::Counter;
 
 use crate::netlist::{Circuit, Element, MnaSystem, NodeId};
 use crate::{Result, SpiceError};
@@ -75,9 +81,25 @@ pub struct TranResult {
     states: Vec<f64>,
     stride: usize,
     num_node_unknowns: usize,
+    config: TranConfig,
+    method: Integration,
+    resumed_at: Option<f64>,
 }
 
 impl TranResult {
+    /// The configuration the trace was simulated under (it fixes the
+    /// sample grid).
+    pub fn config(&self) -> &TranConfig {
+        &self.config
+    }
+
+    /// Time of the last sample copied from an earlier run by
+    /// [`Circuit::transient_resuming`]; `None` for a run simulated from
+    /// the operating point.
+    pub fn resumed_at(&self) -> Option<f64> {
+        self.resumed_at
+    }
+
     /// Sample times, s.
     pub fn times(&self) -> &[f64] {
         &self.times
@@ -127,8 +149,10 @@ impl TranResult {
     }
 }
 
-/// Transient configuration.
-#[derive(Debug, Clone, Copy)]
+/// Transient configuration. Its sample grid is a function of these two
+/// fields alone; for the positive values a transient accepts, `==` is
+/// bit equality.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TranConfig {
     /// Stop time, s.
     pub t_stop: f64,
@@ -158,6 +182,9 @@ struct DynamicCtx<'a> {
     /// state; indexed in [`Circuit::cap_list`] order). Empty slices read
     /// as zero.
     cap_currents: &'a [f64],
+    /// Artificial node-to-ground capacitance conductance, S (nonzero only
+    /// in pseudo-transient DC).
+    artificial_g: f64,
 }
 
 /// Reusable per-thread scratch for the Newton loop: the MNA accumulator,
@@ -188,6 +215,21 @@ fn with_newton_workspace<R>(f: impl FnOnce(&mut NewtonWorkspace) -> R) -> R {
     })
 }
 
+/// The `spice.newton_iters` counter, fetched once per analysis: the
+/// registry lookup takes a mutex, too costly once per Newton solve. A
+/// `static` handle would detach from the registry after a reset.
+fn newton_iters() -> Counter {
+    stco_obs::Recorder::global()
+        .metrics()
+        .counter("spice.newton_iters")
+}
+
+/// Whether `STCO_SPICE_DEBUG` is set, read once per process.
+fn debug_progress() -> bool {
+    static DEBUG: OnceLock<bool> = OnceLock::new();
+    *DEBUG.get_or_init(|| std::env::var("STCO_SPICE_DEBUG").is_ok())
+}
+
 impl Circuit {
     /// Solves the DC operating point (capacitors open, waveform DC
     /// values), with source-stepping fallback.
@@ -198,20 +240,25 @@ impl Circuit {
     /// stepping, or propagates LU failures.
     pub fn dc_operating_point(&self) -> Result<DcSolution> {
         let _span = stco_obs::span!("spice.dc_operating_point");
-        with_newton_workspace(|ws| self.dc_operating_point_ws(ws))
+        let iters = newton_iters();
+        with_newton_workspace(|ws| self.dc_operating_point_ws(ws, &iters))
     }
 
-    fn dc_operating_point_ws(&self, ws: &mut NewtonWorkspace) -> Result<DcSolution> {
+    fn dc_operating_point_ws(
+        &self,
+        ws: &mut NewtonWorkspace,
+        iters: &Counter,
+    ) -> Result<DcSolution> {
         let size = self.system_size();
         let mut x = vec![0.0; size];
-        let direct = newton_solve(self, &mut x, 0.0, 1.0, None, 0.0, ws);
+        let direct = newton_solve(self, &mut x, 0.0, 1.0, None, ws, iters);
         if direct.is_err() {
             // Source stepping: ramp all sources from 10 % to 100 %.
             x = vec![0.0; size];
             let mut stepped = Ok(());
             for k in 1..=10 {
                 let scale = k as f64 / 10.0;
-                stepped = newton_solve(self, &mut x, 0.0, scale, None, 0.0, ws);
+                stepped = newton_solve(self, &mut x, 0.0, scale, None, ws, iters);
                 if stepped.is_err() {
                     break;
                 }
@@ -223,7 +270,7 @@ impl Circuit {
                 // Bulletproof for self-limiting device stacks that defeat
                 // damped Newton.
                 x = vec![0.0; size];
-                self.pseudo_transient_dc(&mut x, ws)?;
+                self.pseudo_transient_dc(&mut x, ws, iters)?;
             }
         }
         let n = self.num_nodes() - 1;
@@ -236,7 +283,12 @@ impl Circuit {
     /// Pseudo-transient DC: BE steps with an artificial capacitance on
     /// every node, step growing geometrically until the solution stops
     /// moving and the artificial conductance is negligible.
-    fn pseudo_transient_dc(&self, x: &mut [f64], ws: &mut NewtonWorkspace) -> Result<()> {
+    fn pseudo_transient_dc(
+        &self,
+        x: &mut [f64],
+        ws: &mut NewtonWorkspace,
+        iters: &Counter,
+    ) -> Result<()> {
         let n = self.num_nodes() - 1;
         let c_art = 1.0e-12; // 1 pF on every node
         let mut dt = 1.0e-9;
@@ -255,8 +307,9 @@ impl Circuit {
                 dt,
                 method: Integration::BackwardEuler,
                 cap_currents: &[],
+                artificial_g: g_art,
             };
-            match newton_solve(self, &mut trial, 0.0, 1.0, Some(&ctx), g_art, ws) {
+            match newton_solve(self, &mut trial, 0.0, 1.0, Some(&ctx), ws, iters) {
                 Ok(()) => {
                     x.copy_from_slice(&trial);
                     let moved = x[..n]
@@ -321,42 +374,106 @@ impl Circuit {
             });
         }
         let _span = stco_obs::span!("spice.transient", t_stop = config.t_stop, dt = config.dt,);
-        with_newton_workspace(|ws| self.transient_ws(config, method, ws))
+        let iters = newton_iters();
+        with_newton_workspace(|ws| {
+            let dc = self.dc_operating_point_ws(ws, &iters)?;
+            let state: Vec<f64> = dc.voltages.into_iter().chain(dc.branch_currents).collect();
+            self.step_transient(config, method, &[0.0], &state, ws, &iters)
+        })
     }
 
-    /// Transient body: all per-substep buffers are allocated once up
-    /// front and recycled, so the inner stepping loop is allocation-free.
-    fn transient_ws(
+    /// Runs the backward-Euler transient of `self` under `config`,
+    /// copying the samples it provably shares with `run`, an earlier
+    /// transient of `earlier`.
+    ///
+    /// Every sample of `run` at or before `self.agrees_until(earlier)` is
+    /// copied (at least the `t = 0` operating point), and stepping
+    /// continues from the last copied state. The sample grid depends only
+    /// on `config`, and each step only on the previous state and on the
+    /// source values at its own step-end times, so the result equals
+    /// `self.transient(config)` bit for bit; only
+    /// [`TranResult::resumed_at`] tells them apart. `run` must be
+    /// `earlier`'s transient: its samples are copied as they are. A run on
+    /// another grid, a trapezoidal run, or circuits that already differ
+    /// at `t = 0` fall back to a full [`Circuit::transient`].
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Circuit::transient`].
+    pub fn transient_resuming(
+        &self,
+        config: &TranConfig,
+        earlier: &Circuit,
+        run: &TranResult,
+    ) -> Result<TranResult> {
+        let keep = if run.config == *config
+            && run.method == Integration::BackwardEuler
+            && run.stride == self.system_size()
+        {
+            let until = self.agrees_until(earlier);
+            run.times.partition_point(|&t| t <= until)
+        } else {
+            0
+        };
+        if keep == 0 {
+            return self.transient(config);
+        }
+        let resumed_at = run.times[keep - 1];
+        let _span = stco_obs::span!(
+            "spice.transient",
+            t_stop = config.t_stop,
+            dt = config.dt,
+            resumed_at = resumed_at,
+        );
+        let iters = newton_iters();
+        let mut result = with_newton_workspace(|ws| {
+            self.step_transient(
+                config,
+                Integration::BackwardEuler,
+                &run.times[..keep],
+                &run.states[..keep * run.stride],
+                ws,
+                &iters,
+            )
+        })?;
+        result.resumed_at = Some(resumed_at);
+        Ok(result)
+    }
+
+    /// The transient stepping loop, continuing from the given leading
+    /// samples (flat states, one full state per time). All per-substep
+    /// buffers are allocated once up front and recycled, so the inner
+    /// stepping loop is allocation-free.
+    fn step_transient(
         &self,
         config: &TranConfig,
         method: Integration,
+        prefix_times: &[f64],
+        prefix_states: &[f64],
         ws: &mut NewtonWorkspace,
+        iters: &Counter,
     ) -> Result<TranResult> {
         let metrics = stco_obs::Recorder::global().metrics();
         let accepts = metrics.counter("spice.timestep_accepts");
         let rejects = metrics.counter("spice.timestep_rejects");
-        let dc = self.dc_operating_point_ws(ws)?;
         let n = self.num_nodes() - 1;
         let caps = self.cap_list();
-        let mut state: Vec<f64> = dc
-            .voltages
-            .iter()
-            .chain(dc.branch_currents.iter())
-            .copied()
-            .collect();
-        let size = state.len();
+        let size = self.system_size();
+        let mut state = prefix_states[prefix_states.len() - size..].to_vec();
         // At the operating point every capacitor carries zero current.
+        // Backward Euler never reads these currents, which is why a
+        // resumed (backward-Euler) run may start them at zero too.
         let mut cap_currents = vec![0.0; caps.len()];
         let expected = (config.t_stop / config.dt).ceil() as usize + 2;
         let mut times = Vec::with_capacity(expected);
-        times.push(0.0);
+        times.extend_from_slice(prefix_times);
         let mut states = Vec::with_capacity(expected * size);
-        states.extend_from_slice(&state);
+        states.extend_from_slice(prefix_states);
         let mut local_state = vec![0.0; size];
         let mut local_cap_i = vec![0.0; caps.len()];
         let mut trial = vec![0.0; size];
         let mut prev_v = vec![0.0; n];
-        let mut t = 0.0;
+        let mut t = prefix_times[prefix_times.len() - 1];
         while t < config.t_stop - 1e-18 {
             let target = (t + config.dt).min(config.t_stop);
             let mut sub_dt = target - t;
@@ -374,8 +491,9 @@ impl Circuit {
                     dt,
                     method,
                     cap_currents: &local_cap_i,
+                    artificial_g: 0.0,
                 };
-                match newton_solve(self, &mut trial, step_end, 1.0, Some(&ctx), 0.0, ws) {
+                match newton_solve(self, &mut trial, step_end, 1.0, Some(&ctx), ws, iters) {
                     Ok(()) => {
                         // Advance the capacitor-current state.
                         let volt = |v: &[f64], node: NodeId| -> f64 {
@@ -430,6 +548,9 @@ impl Circuit {
             states,
             stride: size,
             num_node_unknowns: n,
+            config: *config,
+            method,
+            resumed_at: None,
         })
     }
 
@@ -460,10 +581,11 @@ impl Circuit {
     }
 }
 
-/// One damped-Newton solve of the MNA system at time `t`.
+/// One damped-Newton solve of the MNA system at time `t`, counting its
+/// iterations on `iters`.
 ///
-/// `cap_companion = Some((prev_node_voltages, dt))` enables backward-Euler
-/// capacitor companions; `None` leaves capacitors open (DC).
+/// `dynamic = Some(ctx)` enables the capacitor companions; `None` leaves
+/// capacitors open (DC). A non-finite update fails the solve.
 // stco-hot
 fn newton_solve(
     ckt: &Circuit,
@@ -471,21 +593,19 @@ fn newton_solve(
     t: f64,
     source_scale: f64,
     dynamic: Option<&DynamicCtx<'_>>,
-    artificial_g: f64,
     ws: &mut NewtonWorkspace,
+    iters: &Counter,
 ) -> Result<()> {
     let size = ckt.system_size();
     let n = ckt.num_nodes() - 1;
-    let iters = stco_obs::Recorder::global()
-        .metrics()
-        .counter("spice.newton_iters");
+    let analysis = if dynamic.is_some() { "tran" } else { "dc" };
     ws.x_prev.clear();
     ws.x_prev.extend_from_slice(x);
     let x_prev = &mut ws.x_prev;
     for iter in 0..MAX_NEWTON {
         iters.inc();
         ws.sys.reset(size);
-        stamp_all(ckt, x, t, source_scale, dynamic, artificial_g, &mut ws.sys);
+        stamp_all(ckt, x, t, source_scale, dynamic, &mut ws.sys);
         // Factor-once-per-iteration into the leased workspace: same bits
         // as `lu_solve`, none of its allocations.
         ws.sys.matrix.lu_factor_into(&mut ws.factors)?;
@@ -507,6 +627,13 @@ fn newton_solve(
         let mut max_dx = 0.0_f64;
         for (i, (xi, xn)) in x.iter_mut().zip(solution.iter()).enumerate() {
             let mut dx = xn - *xi;
+            if !dx.is_finite() {
+                // `f64::max` below would drop a NaN and call it converged.
+                return Err(SpiceError::NoConvergence {
+                    analysis,
+                    residual: dx,
+                });
+            }
             if i < n {
                 dx = dx.clamp(-VOLTAGE_CLAMP, VOLTAGE_CLAMP);
             }
@@ -524,12 +651,12 @@ fn newton_solve(
             }
         }
         x_prev.copy_from_slice(x);
-        if std::env::var("STCO_SPICE_DEBUG").is_ok() && iter % 25 == 0 {
+        if iter % 25 == 0 && debug_progress() {
             stco_obs::event!("spice.newton_progress", iter = iter, max_dx = max_dx);
         }
     }
     Err(SpiceError::NoConvergence {
-        analysis: if dynamic.is_some() { "tran" } else { "dc" },
+        analysis,
         residual: f64::NAN,
     })
 }
@@ -541,7 +668,6 @@ fn stamp_all(
     t: f64,
     source_scale: f64,
     dynamic: Option<&DynamicCtx<'_>>,
-    artificial_g: f64,
     sys: &mut MnaSystem,
 ) {
     let volt = |node: NodeId| -> f64 {
@@ -559,7 +685,7 @@ fn stamp_all(
         if let Some(ctx) = dynamic {
             // Parasitic/artificial node capacitance always integrates
             // backward-Euler: it is a regularizer, not a modeled element.
-            let g_node = artificial_g + NODE_PARASITIC_CAP / ctx.dt;
+            let g_node = ctx.artificial_g + NODE_PARASITIC_CAP / ctx.dt;
             let v_prev = ctx.prev_v[i - 1];
             sys.stamp_conductance(ckt, NodeId(i), Circuit::GROUND, g_node);
             sys.stamp_current(ckt, NodeId(i), Circuit::GROUND, -g_node * v_prev);
@@ -810,6 +936,33 @@ mod tests {
         assert!(
             tr_err < 0.3 * be_err,
             "trap err {tr_err:.4e} vs BE err {be_err:.4e}"
+        );
+    }
+
+    #[test]
+    fn nan_mobility_fails_instead_of_converging_onto_nan() {
+        let mut model = CompactModel::ntype_reference();
+        model.mu0 = f64::NAN;
+        let mut ckt = Circuit::new();
+        let vdd = ckt.node("vdd");
+        let vin = ckt.node("in");
+        let out = ckt.node("out");
+        ckt.add_vsource("VDD", vdd, Circuit::GROUND, Waveform::Dc(3.0));
+        ckt.add_vsource("VIN", vin, Circuit::GROUND, Waveform::Dc(3.0));
+        ckt.add_resistor("RL", vdd, out, 1.0e6);
+        ckt.add_tft("M1", out, vin, Circuit::GROUND, model);
+        let dc = ckt.dc_operating_point();
+        assert!(
+            matches!(dc, Err(SpiceError::NoConvergence { .. })),
+            "{dc:?}"
+        );
+        let tran = ckt.transient(&TranConfig {
+            t_stop: 1.0e-6,
+            dt: 1.0e-8,
+        });
+        assert!(
+            matches!(tran, Err(SpiceError::NoConvergence { .. })),
+            "{tran:?}"
         );
     }
 

@@ -9,7 +9,8 @@
 //!   [`stco_compact::model::CompactModel`] (with gate-capacitance loading).
 //! * [`analysis`] — Newton DC operating point with g-min and clamped
 //!   updates plus source-stepping fallback, and fixed-step backward-Euler
-//!   transient with automatic step halving on Newton failure.
+//!   transient with automatic step halving on Newton failure, which can
+//!   resume from the prefix it shares with an earlier run.
 //! * [`wave`] — waveform measurements: threshold crossings, transition
 //!   slew, and supply-charge/energy integrals (the quantities behind
 //!   delay, output slew, and flip/non-flip power).

@@ -100,6 +100,49 @@ impl Waveform {
         }
     }
 
+    /// A time `T` such that `self.value_at(t)` and `other.value_at(t)`
+    /// have the same bits at every `t ≤ T`: `+∞` for bitwise-identical
+    /// waveforms, `−∞` when no such time is known.
+    ///
+    /// Two PWL waveforms agree through their shared leading breakpoints,
+    /// then for as long as both stay flat at the last shared value. Any
+    /// other difference is treated conservatively as `−∞`.
+    pub fn agrees_until(&self, other: &Waveform) -> f64 {
+        let identical = match (self, other) {
+            (Waveform::Pwl(a), Waveform::Pwl(b)) => return pwl_agrees_until(a, b),
+            (Waveform::Dc(a), Waveform::Dc(b)) => a.to_bits() == b.to_bits(),
+            (
+                Waveform::Pulse {
+                    v0,
+                    v1,
+                    delay,
+                    rise,
+                    fall,
+                    width,
+                    period,
+                },
+                Waveform::Pulse {
+                    v0: w0,
+                    v1: w1,
+                    delay: d,
+                    rise: r,
+                    fall: f,
+                    width: w,
+                    period: p,
+                },
+            ) => [v0, v1, delay, rise, fall, width, period]
+                .iter()
+                .zip([w0, w1, d, r, f, w, p])
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            _ => false,
+        };
+        if identical {
+            f64::INFINITY
+        } else {
+            f64::NEG_INFINITY
+        }
+    }
+
     /// A copy with every value scaled by `k` (source stepping).
     pub fn scaled(&self, k: f64) -> Waveform {
         match self {
@@ -126,6 +169,40 @@ impl Waveform {
             }
         }
     }
+}
+
+/// [`Waveform::agrees_until`] for two PWL point lists.
+fn pwl_agrees_until(a: &[(f64, f64)], b: &[(f64, f64)]) -> f64 {
+    let shared = a
+        .iter()
+        .zip(b)
+        .take_while(|(p, q)| p.0.to_bits() == q.0.to_bits() && p.1.to_bits() == q.1.to_bits())
+        .count();
+    if shared == a.len() && shared == b.len() {
+        return f64::INFINITY;
+    }
+    // Up to the last shared breakpoint both evaluate the same windows.
+    let Some(&(tp, vp)) = a[..shared].last().filter(|p| !p.0.is_nan()) else {
+        return f64::NEG_INFINITY;
+    };
+    // Beyond it, a flat segment evaluates `vp + 0·(t − t0)/(t1 − t0)` and
+    // a waveform past its last point returns `vp`. Those bits match when
+    // `vp` is finite and not −0.0 and every `t − t0` is finite, which
+    // non-decreasing times within a finite distance of `tp` ensure.
+    if !vp.is_finite() || vp.to_bits() == (-0.0_f64).to_bits() || !tp.is_finite() {
+        return tp;
+    }
+    let flat_until = |rest: &[(f64, f64)]| {
+        let mut until = tp;
+        for &(t, v) in rest {
+            if v.to_bits() != vp.to_bits() || !(t >= until && (t - tp).is_finite()) {
+                return until;
+            }
+            until = t;
+        }
+        f64::INFINITY
+    };
+    flat_until(&a[shared..]).min(flat_until(&b[shared..]))
 }
 
 /// A circuit element.
@@ -180,6 +257,72 @@ impl Element {
             | Element::Capacitor { name, .. }
             | Element::VoltageSource { name, .. }
             | Element::Tft { name, .. } => name,
+        }
+    }
+
+    /// [`Circuit::agrees_until`] for one pair of elements: the sources'
+    /// waveform agreement, `+∞` for any other bitwise-identical pair.
+    fn agrees_until(&self, other: &Element) -> f64 {
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
+        let identical = match (self, other) {
+            (
+                Element::VoltageSource {
+                    name,
+                    nodes,
+                    waveform,
+                    branch,
+                },
+                Element::VoltageSource {
+                    name: n,
+                    nodes: m,
+                    waveform: w,
+                    branch: b,
+                },
+            ) => {
+                return if (name, nodes, branch) == (n, m, b) {
+                    waveform.agrees_until(w)
+                } else {
+                    f64::NEG_INFINITY
+                };
+            }
+            (
+                Element::Resistor {
+                    name,
+                    nodes,
+                    resistance,
+                },
+                Element::Resistor {
+                    name: n,
+                    nodes: m,
+                    resistance: r,
+                },
+            ) => (name, nodes) == (n, m) && same(*resistance, *r),
+            (
+                Element::Capacitor {
+                    name,
+                    nodes,
+                    capacitance,
+                },
+                Element::Capacitor {
+                    name: n,
+                    nodes: m,
+                    capacitance: c,
+                },
+            ) => (name, nodes) == (n, m) && same(*capacitance, *c),
+            (
+                Element::Tft { name, dgs, model },
+                Element::Tft {
+                    name: n,
+                    dgs: d,
+                    model: m,
+                },
+            ) => (name, dgs) == (n, d) && model.bitwise_eq(m),
+            _ => false,
+        };
+        if identical {
+            f64::INFINITY
+        } else {
+            f64::NEG_INFINITY
         }
     }
 }
@@ -244,6 +387,26 @@ impl Circuit {
     /// The elements, in insertion order.
     pub fn elements(&self) -> &[Element] {
         &self.elements
+    }
+
+    /// A time `T` up to which `self` and `other` drive bitwise-identical
+    /// analyses: both are the same netlist (node names, every non-source
+    /// element bit for bit, source names, nodes and branches) and every
+    /// source's `value_at(t)` has the same bits at all `t ≤ T`
+    /// ([`Waveform::agrees_until`]). `+∞` for identical circuits, `−∞`
+    /// for different netlists or sources that differ at the start.
+    pub fn agrees_until(&self, other: &Circuit) -> f64 {
+        if self.node_names != other.node_names
+            || self.num_vsources != other.num_vsources
+            || self.elements.len() != other.elements.len()
+        {
+            return f64::NEG_INFINITY;
+        }
+        self.elements
+            .iter()
+            .zip(&other.elements)
+            .map(|(a, b)| a.agrees_until(b))
+            .fold(f64::INFINITY, f64::min)
     }
 
     /// Adds a resistor.

@@ -17,17 +17,19 @@ use stco_cells::liberty::{LibCell, Library, TimingTable};
 use stco_cells::library::{CellType, SeqBehavior};
 use stco_compact::extract::{extract_parameters, TransferCurve};
 use stco_compact::tech::{Corner, TechnologyCard};
+use stco_nn::gnn::EdgeProjections;
 use stco_numerics::interp::Bilinear;
 use stco_par::ParConfig;
 use stco_surrogate::cell_model::{metric_index, CellModel};
-use stco_surrogate::iv_predictor::IvPredictor;
+use stco_surrogate::encoding::{DeviceGraph, TaskFeatures};
+use stco_surrogate::iv_predictor::{current_from_log, IvPredictor};
 use stco_surrogate::poisson_emulator::PoissonEmulator;
 use stco_system::bench_gen::Benchmark;
 use stco_system::netlist::LogicNetlist;
 use stco_system::ppa::{evaluate_system, map_netlist_cells, EvalConfig, PpaReport};
 use stco_system::runtime::StageTimer;
 use stco_tcad::dataset::DeviceSample;
-use stco_tcad::device::{Bias, DeviceSpec};
+use stco_tcad::device::{Bias, Device, DeviceSpec};
 use stco_tcad::materials::{Polarity, Technology};
 use stco_tcad::physics;
 use stco_tcad::poisson::{solve_poisson, PotentialSolution};
@@ -144,8 +146,12 @@ impl StcoFlow {
     ///
     /// # Errors
     ///
-    /// Propagates netlist/mapping failures.
+    /// Returns [`StcoError::InvalidConfig`] if the characterization grid
+    /// cannot tabulate: a slew or load axis that is empty, or that is not
+    /// finite and strictly increasing once a single point is doubled into
+    /// two. Propagates netlist/mapping failures.
     pub fn new(config: FlowConfig) -> Result<Self> {
+        check_grid(&config.char_config)?;
         let logic = config.benchmark.generate();
         let cells = map_netlist_cells(&logic)?;
         let base_card = TechnologyCard::reference(config.technology);
@@ -224,18 +230,15 @@ impl StcoFlow {
                 context: "fast flow requires trained surrogates".into(),
             })?),
         };
-        let sign = spec.channel.polarity.sign();
+        let fast_device = fast.map(|s| FastDevice::new(&spec, &device, s));
         let iv_points = stco_par::try_par_map(ParConfig::current(), &gates, |&vg| {
             let bias = Bias {
                 gate: vg,
                 drain: vd,
             };
-            let id = match fast {
+            let id = match &fast_device {
                 None => drain_current(&device, &solve_poisson(&device, bias)?, bias),
-                Some(s) => {
-                    let sample = fast_device_solution(&spec, bias, &s.poisson)?;
-                    sign * s.iv.predict_current(&sample)
-                }
+                Some(f) => f.drain_current(bias),
             };
             Ok::<_, StcoError>((vg, id))
         })?;
@@ -314,6 +317,57 @@ impl StcoFlow {
     }
 }
 
+/// The fast device stage of one iteration. Everything the device mesh
+/// fixes — its graph and both device models' edge projections — is
+/// prepared here once, before the gate points fan out, and every gate
+/// point's solve and IV prediction reuse it.
+struct FastDevice<'a> {
+    spec: &'a DeviceSpec,
+    device: &'a Device,
+    surrogates: &'a TrainedSurrogates,
+    mesh: DeviceGraph,
+    poisson_edges: EdgeProjections,
+    iv_edges: EdgeProjections,
+}
+
+impl<'a> FastDevice<'a> {
+    /// Prepares `device`, built from `spec`, for the surrogates.
+    fn new(spec: &'a DeviceSpec, device: &'a Device, surrogates: &'a TrainedSurrogates) -> Self {
+        let mesh = DeviceGraph::new(device);
+        FastDevice {
+            poisson_edges: surrogates.poisson.project_edges(&mesh),
+            iv_edges: surrogates.iv.project_edges(&mesh),
+            spec,
+            device,
+            surrogates,
+            mesh,
+        }
+    }
+
+    /// The signed drain current at one bias: the self-consistent solve
+    /// of [`fast_device_solution`], then the IV predictor.
+    fn drain_current(&self, bias: Bias) -> f64 {
+        let _span = stco_obs::span!(
+            "flow.fast_device_point",
+            gate = bias.gate,
+            drain = bias.drain,
+        );
+        let s = self.surrogates;
+        let sample = solve_prepared(
+            self.spec,
+            self.device,
+            &self.mesh,
+            &self.poisson_edges,
+            bias,
+            &s.poisson,
+        );
+        let nodes = self.mesh.node_features(&sample, TaskFeatures::Iv);
+        let log_current =
+            s.iv.predict_log_current_prepared(&self.mesh, &self.iv_edges, &nodes);
+        self.spec.channel.polarity.sign() * current_from_log(log_current)
+    }
+}
+
 /// The self-consistent surrogate device solve: alternate the RelGAT
 /// Poisson emulator (charge → potential) with the analytic carrier
 /// statistics (potential → charge), as the paper's interconnected
@@ -334,8 +388,23 @@ pub fn fast_device_solution(
         drain = bias.drain,
     );
     let device = spec.build()?;
-    let mesh = device.mesh();
-    let n = mesh.num_nodes();
+    let mesh = DeviceGraph::new(&device);
+    let edges = poisson.project_edges(&mesh);
+    Ok(solve_prepared(spec, &device, &mesh, &edges, bias, poisson))
+}
+
+/// [`fast_device_solution`] on a prepared mesh: `mesh` is the graph of
+/// `device` (built from `spec`) and `edges` the emulator's projections
+/// on it.
+fn solve_prepared(
+    spec: &DeviceSpec,
+    device: &Device,
+    mesh: &DeviceGraph,
+    edges: &EdgeProjections,
+    bias: Bias,
+    poisson: &PoissonEmulator,
+) -> DeviceSample {
+    let n = device.mesh().num_nodes();
     // Initial guess: Dirichlet potentials, zero elsewhere; charge from it.
     let mut psi = vec![0.0; n];
     for (i, p) in psi.iter_mut().enumerate() {
@@ -347,30 +416,28 @@ pub fn fast_device_solution(
         spec: spec.clone(),
         device: device.clone(),
         bias,
-        solution: derived_solution(&device, bias, psi),
+        solution: derived_solution(device, bias, psi),
         current: 0.0,
     };
     // A few fixed-point sweeps: predict ψ from the charge features, then
     // refresh the charge from the predicted ψ.
+    let mut nodes = mesh.node_features(&sample, TaskFeatures::Poisson);
     for _ in 0..3 {
-        let mut predicted = poisson.predict(&sample);
+        let mut predicted = poisson.predict_prepared(mesh, edges, &nodes);
         // Keep electrodes pinned exactly.
         for (i, p) in predicted.iter_mut().enumerate() {
             if let Some(pd) = device.dirichlet_potential(i, bias) {
                 *p = pd;
             }
         }
-        sample.solution = derived_solution(&device, bias, predicted);
+        sample.solution = derived_solution(device, bias, predicted);
+        mesh.refresh(&sample, TaskFeatures::Poisson, &mut nodes);
     }
-    Ok(sample)
+    sample
 }
 
 /// Rebuilds the derived per-node quantities from a potential map.
-fn derived_solution(
-    device: &stco_tcad::device::Device,
-    bias: Bias,
-    psi: Vec<f64>,
-) -> PotentialSolution {
+fn derived_solution(device: &Device, bias: Bias, psi: Vec<f64>) -> PotentialSolution {
     let mesh = device.mesh();
     let params = device.channel();
     let n = mesh.num_nodes();
@@ -479,6 +546,24 @@ pub fn predicted_library(
     }
 }
 
+/// Checks that a characterization grid tabulates in both flows: each
+/// axis is non-empty and, after a single point is doubled into two by
+/// [`expand`], finite and strictly increasing — exactly what the NLDM
+/// tables' [`Bilinear::new`] accepts.
+fn check_grid(config: &CharConfig) -> Result<()> {
+    let invalid = |context: String| StcoError::InvalidConfig { context };
+    for (name, axis) in [("slew", &config.slews), ("load", &config.loads)] {
+        if axis.is_empty() {
+            return Err(invalid(format!("characterization {name} axis is empty")));
+        }
+    }
+    let (slews, loads) = (expand(&config.slews), expand(&config.loads));
+    let values = vec![0.0; slews.len() * loads.len()];
+    Bilinear::new(slews, loads, values)
+        .map_err(|e| invalid(format!("characterization grid: {e}")))?;
+    Ok(())
+}
+
 fn expand(axis: &[f64]) -> Vec<f64> {
     if axis.len() >= 2 {
         axis.to_vec()
@@ -501,6 +586,40 @@ mod tests {
         let flow = test_flow();
         assert!(flow.cells().len() >= 5, "s298 maps to several cell kinds");
         assert_eq!(flow.logic().name, "s298");
+    }
+
+    #[test]
+    fn unusable_characterization_grids_are_rejected_at_construction() {
+        let with_grid = |slews: Vec<f64>, loads: Vec<f64>| {
+            let mut config = FlowConfig::fast(Technology::Ltps, Benchmark::S298);
+            config.char_config.slews = slews;
+            config.char_config.loads = loads;
+            StcoFlow::new(config)
+        };
+        let loads = vec![5.0e-15, 20.0e-15];
+        let slews = vec![2.0e-9, 8.0e-9];
+        for (slews, loads) in [
+            (vec![], loads.clone()),
+            (slews.clone(), vec![]),
+            (vec![0.0], loads.clone()),
+            (vec![-2.0e-9], loads.clone()),
+            (slews.clone(), vec![0.0]),
+            (vec![f64::NAN], loads.clone()),
+            (vec![2.0e-9, f64::INFINITY], loads.clone()),
+            (vec![8.0e-9, 2.0e-9], loads.clone()),
+            (slews.clone(), vec![5.0e-15, 5.0e-15]),
+        ] {
+            let got = with_grid(slews.clone(), loads.clone());
+            assert!(
+                matches!(got, Err(StcoError::InvalidConfig { .. })),
+                "slews {slews:?} × loads {loads:?} must be rejected, got {:?}",
+                got.map(|_| ())
+            );
+        }
+        // A single positive point doubles into a valid two-point axis.
+        for (slews, loads) in [(vec![2.0e-9], loads.clone()), (slews, vec![5.0e-15])] {
+            assert!(with_grid(slews, loads).is_ok());
+        }
     }
 
     #[test]

@@ -1,13 +1,16 @@
 //! Thread-count independence of one STCO iteration: the stco-par fan-out
 //! of the gate sweep and of the surrogate cell predictions must
-//! reproduce the serial loops bit for bit.
+//! reproduce the serial loops bit for bit. Golden fingerprints of the
+//! surrogate device solve and of the fast iteration's PPA and extraction
+//! pin those bits across code changes too.
 //!
 //! This file holds a single test because it toggles the process-global
 //! thread override; adding further tests here would race on it.
 
 use stco_compact::tech::{Corner, TechnologyCard};
 use stco_core::flow::{
-    predicted_library, FlowConfig, IterationResult, StcoFlow, TechnologyStage, TrainedSurrogates,
+    fast_device_solution, predicted_library, FlowConfig, IterationResult, StcoFlow,
+    TechnologyStage, TrainedSurrogates,
 };
 use stco_nn::train::TrainConfig;
 use stco_par::set_global_threads;
@@ -16,7 +19,17 @@ use stco_surrogate::iv_predictor::{IvConfig, IvPredictor};
 use stco_surrogate::poisson_emulator::{PoissonConfig, PoissonEmulator};
 use stco_system::bench_gen::Benchmark;
 use stco_tcad::dataset::generate_dataset;
+use stco_tcad::device::Bias;
 use stco_tcad::materials::Technology;
+
+/// Per corner: FNV-1a over every gate point's `fast_device_solution`
+/// (ψ, carrier density, space charge and SRH bits) and IV-predicted
+/// current.
+const GOLDEN_DEVICE: [u64; 3] = [0xc8a897ac7c8bc668, 0x2831c44a64b7b091, 0x30a1d0e53db43fd2];
+
+/// Per corner: FNV-1a over the fast iteration's PPA and extraction, as
+/// the shortest-roundtrip text of [`outputs`].
+const GOLDEN_FAST: [u64; 3] = [0xc954bdc3fd1ebb64, 0x4e34f81d9064637e, 0x54db9cdf3dd352fe];
 
 /// Corners inside the sweep's box (vdd 2.8–3.4 V, vth ±0.05 V, cox
 /// 0.95–1.1), where every stage of both flows succeeds.
@@ -74,6 +87,13 @@ fn surrogates() -> TrainedSurrogates {
     }
 }
 
+/// FNV-1a 64 over `bytes`.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Everything an iteration computes except its wall-clock seconds.
 /// Debug formatting prints every f64 with shortest-roundtrip precision,
 /// so string equality is bit equality.
@@ -81,26 +101,61 @@ fn outputs(r: &IterationResult) -> String {
     format!("{:?} {:?} {:?}", r.ppa, r.extracted, r.stage)
 }
 
-/// Runs every probe of the test at one thread count.
-fn run_at(threads: usize, flow: &StcoFlow, s: &TrainedSurrogates) -> Vec<String> {
-    set_global_threads(threads);
-    let mut out = Vec::new();
-    let config = FlowConfig::fast(Technology::Ltps, Benchmark::S298).char_config;
-    for corner in CORNERS {
-        for (stage, surrogates) in [
-            (TechnologyStage::Fast, Some(s)),
-            (TechnologyStage::Traditional, None),
+/// Fingerprint of the surrogate device stage at one corner, solved one
+/// gate point at a time through the public calls.
+fn device_fingerprint(flow: &StcoFlow, corner: Corner, s: &TrainedSurrogates) -> u64 {
+    let spec = flow.device_at(corner);
+    let (gates, drain) = flow.gate_sweep(corner);
+    let mut values = Vec::new();
+    for gate in gates {
+        let sample = fast_device_solution(&spec, Bias { gate, drain }, &s.poisson)
+            .unwrap_or_else(|e| panic!("device solve at {corner:?}, gate {gate}: {e}"));
+        let solution = &sample.solution;
+        for field in [
+            &solution.psi,
+            &solution.carrier_density,
+            &solution.space_charge,
+            &solution.srh,
         ] {
-            let r = flow
-                .run_iteration(corner, stage, surrogates)
-                .unwrap_or_else(|e| panic!("{stage:?} iteration at {corner:?}: {e}"));
-            out.push(outputs(&r));
+            values.extend_from_slice(field);
         }
-        let card = TechnologyCard::reference(Technology::Ltps).at_corner(corner);
-        let library = predicted_library(flow.cells(), &card, &s.cells, &config);
-        out.push(format!("{library:?}"));
+        values.push(s.iv.predict_current(&sample));
     }
-    out
+    fnv1a(values.iter().flat_map(|v| v.to_bits().to_le_bytes()))
+}
+
+/// Every probe of one corner.
+#[derive(Debug, PartialEq)]
+struct CornerProbes {
+    device: u64,
+    fast: String,
+    traditional: String,
+    library: String,
+}
+
+/// Runs every probe of the test at one thread count.
+fn run_at(threads: usize, flow: &StcoFlow, s: &TrainedSurrogates) -> Vec<CornerProbes> {
+    set_global_threads(threads);
+    let config = FlowConfig::fast(Technology::Ltps, Benchmark::S298).char_config;
+    let run = |corner: Corner, stage: TechnologyStage, surrogates| {
+        let r = flow
+            .run_iteration(corner, stage, surrogates)
+            .unwrap_or_else(|e| panic!("{stage:?} iteration at {corner:?}: {e}"));
+        outputs(&r)
+    };
+    CORNERS
+        .into_iter()
+        .map(|corner| {
+            let card = TechnologyCard::reference(Technology::Ltps).at_corner(corner);
+            let library = predicted_library(flow.cells(), &card, &s.cells, &config);
+            CornerProbes {
+                device: device_fingerprint(flow, corner, s),
+                fast: run(corner, TechnologyStage::Fast, Some(s)),
+                traditional: run(corner, TechnologyStage::Traditional, None),
+                library: format!("{library:?}"),
+            }
+        })
+        .collect()
 }
 
 #[test]
@@ -113,6 +168,13 @@ fn iterations_and_predicted_libraries_are_identical_across_thread_counts() {
     set_global_threads(0);
     assert_eq!(serial.len(), parallel.len());
     for (k, (a, b)) in serial.iter().zip(&parallel).enumerate() {
-        assert_eq!(a, b, "probe {k} differs between 1 and 4 threads");
+        assert_eq!(a, b, "corner {k} differs between 1 and 4 threads");
     }
+    let device: Vec<u64> = serial.iter().map(|p| p.device).collect();
+    let fast: Vec<u64> = serial.iter().map(|p| fnv1a(p.fast.bytes())).collect();
+    assert_eq!(
+        (device.as_slice(), fast.as_slice()),
+        (GOLDEN_DEVICE.as_slice(), GOLDEN_FAST.as_slice()),
+        "fingerprints now: device {device:#018x?}, fast {fast:#018x?}"
+    );
 }

@@ -322,11 +322,7 @@ impl Graph {
         assert_eq!(bv.rows(), 1, "broadcast operand must be a row vector");
         assert_eq!(av.cols(), bv.cols(), "broadcast width mismatch");
         let mut out = self.pool.lease_copy(av);
-        for i in 0..out.rows() {
-            for (o, b) in out.row_mut(i).iter_mut().zip(bv.row(0)) {
-                *o += b;
-            }
-        }
+        kernels::add_row(&mut out, bv.row(0));
         self.push(out, Op::AddRowBroadcast(a, b))
     }
 
@@ -378,19 +374,19 @@ impl Graph {
 
     /// Rectified linear unit.
     pub fn relu(&mut self, a: NodeId) -> NodeId {
-        let v = self.map_unary(a, |x| x.max(0.0));
+        let v = self.map_unary(a, kernels::relu);
         self.push(v, Op::Relu(a))
     }
 
     /// Leaky ReLU (`slope` on the negative side; GAT attention uses 0.2).
     pub fn leaky_relu(&mut self, a: NodeId, slope: f64) -> NodeId {
-        let v = self.map_unary(a, |x| if x > 0.0 { x } else { slope * x });
+        let v = self.map_unary(a, |x| kernels::leaky_relu(x, slope));
         self.push(v, Op::LeakyRelu(a, slope))
     }
 
     /// Exponential linear unit.
     pub fn elu(&mut self, a: NodeId, alpha: f64) -> NodeId {
-        let v = self.map_unary(a, |x| if x > 0.0 { x } else { alpha * (x.exp() - 1.0) });
+        let v = self.map_unary(a, |x| kernels::elu(x, alpha));
         self.push(v, Op::Elu(a, alpha))
     }
 
@@ -402,7 +398,7 @@ impl Graph {
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: NodeId) -> NodeId {
-        let v = self.map_unary(a, |x| 1.0 / (1.0 + (-x).exp()));
+        let v = self.map_unary(a, kernels::sigmoid);
         self.push(v, Op::Sigmoid(a))
     }
 
@@ -436,7 +432,7 @@ impl Graph {
     ///
     /// Panics if gamma/beta are not `1×d` row vectors matching `x`.
     pub fn layer_norm(&mut self, x: NodeId, gamma: NodeId, beta: NodeId) -> NodeId {
-        let eps = 1e-5;
+        let eps = kernels::LAYER_NORM_EPS;
         let xv = &self.nodes[x.0].value;
         let gv = &self.nodes[gamma.0].value;
         let bv = &self.nodes[beta.0].value;
@@ -444,16 +440,7 @@ impl Graph {
         assert_eq!((gv.rows(), gv.cols()), (1, d), "gamma must be 1×d");
         assert_eq!((bv.rows(), bv.cols()), (1, d), "beta must be 1×d");
         let mut out = self.pool.lease_zeroed(xv.rows(), d);
-        for i in 0..xv.rows() {
-            let row = xv.row(i);
-            let mean = row.iter().sum::<f64>() / d as f64;
-            let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / d as f64;
-            let inv = 1.0 / (var + eps).sqrt();
-            for (j, &xj) in row.iter().enumerate().take(d) {
-                let xhat = (xj - mean) * inv;
-                out.set(i, j, xhat * gv.get(0, j) + bv.get(0, j));
-            }
-        }
+        kernels::layer_norm(xv, gv.row(0), bv.row(0), eps, &mut out);
         self.push(
             out,
             Op::LayerNorm {
@@ -534,7 +521,7 @@ impl Graph {
         assert_eq!(xv.cols(), 1, "segment softmax expects a column vector");
         assert_eq!(seg.len(), xv.rows(), "one segment id per row");
         let mut out = self.pool.lease_zeroed(seg.len(), 1);
-        segment_softmax_forward(xv, &seg, n_seg, &mut out);
+        kernels::segment_softmax(xv, &seg, n_seg, &mut out);
         self.push(out, Op::SegmentSoftmax { x, seg, n_seg })
     }
 
@@ -547,23 +534,8 @@ impl Graph {
     // stco-hot
     pub fn segment_mean(&mut self, x: NodeId, seg: Arc<Vec<usize>>, n_seg: usize) -> NodeId {
         let xv = &self.nodes[x.0].value;
-        assert_eq!(seg.len(), xv.rows(), "one segment id per row");
         let mut out = self.pool.lease_zeroed(n_seg, xv.cols());
-        let mut counts = vec![0usize; n_seg];
-        for (i, &s) in seg.iter().enumerate() {
-            assert!(s < n_seg, "segment id {s} out of {n_seg}");
-            counts[s] += 1;
-            for (o, v) in out.row_mut(s).iter_mut().zip(xv.row(i)) {
-                *o += v;
-            }
-        }
-        for (s, &c) in counts.iter().enumerate() {
-            if c > 0 {
-                for v in out.row_mut(s) {
-                    *v /= c as f64;
-                }
-            }
-        }
+        kernels::segment_mean(xv, &seg, &mut out);
         self.push(out, Op::SegmentMean { x, seg, n_seg })
     }
 
@@ -987,21 +959,117 @@ impl Graph {
     }
 }
 
-fn segment_softmax_forward(x: &Matrix, seg: &[usize], n_seg: usize, out: &mut Matrix) {
-    let mut seg_max = vec![f64::NEG_INFINITY; n_seg];
-    for (r, &s) in seg.iter().enumerate() {
-        assert!(s < n_seg, "segment id {s} out of {n_seg}");
-        seg_max[s] = seg_max[s].max(x.get(r, 0));
+/// Forward kernels of the tape's ops, shared with the off-tape inference
+/// path ([`crate::gnn::RelGatStack::infer`], [`crate::layers::Mlp::infer`]),
+/// so both run one copy of each formula and agree bit for bit.
+pub mod kernels {
+    use stco_numerics::Matrix;
+
+    /// Variance epsilon of [`crate::ad::Graph::layer_norm`].
+    pub(crate) const LAYER_NORM_EPS: f64 = 1e-5;
+
+    /// Rectified linear unit.
+    pub(crate) fn relu(x: f64) -> f64 {
+        x.max(0.0)
     }
-    let mut seg_sum = vec![0.0; n_seg];
-    let mut exps = vec![0.0; seg.len()];
-    for (r, &s) in seg.iter().enumerate() {
-        let e = (x.get(r, 0) - seg_max[s]).exp();
-        exps[r] = e;
-        seg_sum[s] += e;
+
+    /// Leaky ReLU with `slope` on the negative side.
+    pub(crate) fn leaky_relu(x: f64, slope: f64) -> f64 {
+        if x > 0.0 {
+            x
+        } else {
+            slope * x
+        }
     }
-    for (r, &s) in seg.iter().enumerate() {
-        out.set(r, 0, exps[r] / seg_sum[s].max(1e-300));
+
+    /// Exponential linear unit.
+    pub(crate) fn elu(x: f64, alpha: f64) -> f64 {
+        if x > 0.0 {
+            x
+        } else {
+            alpha * (x.exp() - 1.0)
+        }
+    }
+
+    /// Logistic sigmoid.
+    pub(crate) fn sigmoid(x: f64) -> f64 {
+        1.0 / (1.0 + (-x).exp())
+    }
+
+    /// Adds `row` to every row of `out` (the bias add).
+    pub(crate) fn add_row(out: &mut Matrix, row: &[f64]) {
+        for i in 0..out.rows() {
+            for (o, b) in out.row_mut(i).iter_mut().zip(row) {
+                *o += b;
+            }
+        }
+    }
+
+    /// Normalizes each row of `x` into the zeroed `out`, then applies the
+    /// gain `gamma` and shift `beta`.
+    pub(crate) fn layer_norm(x: &Matrix, gamma: &[f64], beta: &[f64], eps: f64, out: &mut Matrix) {
+        let d = x.cols();
+        for i in 0..x.rows() {
+            let row = x.row(i);
+            let mean = row.iter().sum::<f64>() / d as f64;
+            let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / d as f64;
+            let inv = 1.0 / (var + eps).sqrt();
+            for (j, (&xj, o)) in row.iter().zip(out.row_mut(i)).enumerate() {
+                let xhat = (xj - mean) * inv;
+                *o = xhat * gamma[j] + beta[j];
+            }
+        }
+    }
+
+    /// Softmax of the `[m×1]` scores `x` over rows sharing a segment id,
+    /// into `out`: exponentials and segment sums accumulate in row order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a segment id is out of range.
+    pub(crate) fn segment_softmax(x: &Matrix, seg: &[usize], n_seg: usize, out: &mut Matrix) {
+        let mut seg_max = vec![f64::NEG_INFINITY; n_seg];
+        for (r, &s) in seg.iter().enumerate() {
+            assert!(s < n_seg, "segment id {s} out of {n_seg}");
+            seg_max[s] = seg_max[s].max(x.get(r, 0));
+        }
+        let mut seg_sum = vec![0.0; n_seg];
+        let mut exps = vec![0.0; seg.len()];
+        for (r, &s) in seg.iter().enumerate() {
+            let e = (x.get(r, 0) - seg_max[s]).exp();
+            exps[r] = e;
+            seg_sum[s] += e;
+        }
+        for (r, &s) in seg.iter().enumerate() {
+            out.set(r, 0, exps[r] / seg_sum[s].max(1e-300));
+        }
+    }
+
+    /// Mean of the rows of `x` sharing a segment id, into the zeroed
+    /// `out` (one row per segment): rows accumulate in order, then each
+    /// sum is divided by its count. Empty segments stay zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seg.len() != x.rows()` or an id is out of range.
+    pub fn segment_mean(x: &Matrix, seg: &[usize], out: &mut Matrix) {
+        assert_eq!(seg.len(), x.rows(), "one segment id per row");
+        let n_seg = out.rows();
+        let mut counts = vec![0usize; n_seg];
+        for (i, &s) in seg.iter().enumerate() {
+            assert!(s < n_seg, "segment id {s} out of {n_seg}");
+            counts[s] += 1;
+            for (o, v) in out.row_mut(s).iter_mut().zip(x.row(i)) {
+                *o += v;
+            }
+        }
+        for (s, &c) in counts.iter().enumerate() {
+            if c > 0 {
+                for v in out.row_mut(s) {
+                    *v /= c as f64;
+                }
+            }
+        }
     }
 }
 

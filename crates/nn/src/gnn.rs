@@ -1,14 +1,23 @@
 //! Graph neural network building blocks: graph containers, batching,
 //! [`GcnLayer`] (Kipf & Welling) and [`RelGatLayer`] — graph attention with
 //! edge features, the "RelGAT" architecture of the paper's TCAD surrogates.
+//!
+//! A [`RelGatStack`] runs two ways. [`RelGatStack::forward`] records on
+//! the autodiff tape, for training. [`RelGatStack::infer`] runs off the
+//! tape, for every prediction, and reproduces the tape forward bit for
+//! bit; its mesh-constant half, [`RelGatStack::project_edges`], is
+//! computed once per edge set and reused by every forward on it.
 
 use std::sync::Arc;
 
 use stco_numerics::{CsrMatrix, Matrix};
 
-use crate::ad::{Graph, NodeId};
+use crate::ad::{kernels, Graph, NodeId};
 use crate::layers::{Activation, LayerNorm, Linear};
 use crate::Params;
+
+/// Negative-side slope of the attention logits' leaky ReLU.
+const ATTENTION_SLOPE: f64 = 0.2;
 
 /// A featurized graph: node features, directed edges and edge features.
 ///
@@ -284,7 +293,7 @@ impl RelGatLayer {
             let hd = g.gather_rows(h, Arc::clone(dst)); // [M × dh]
             let cat = g.concat_cols(&[hd, hs, he]); // [M × 3dh]
             let scores = head.attn.forward(g, params, cat); // [M × 1]
-            let scores = g.leaky_relu(scores, 0.2);
+            let scores = g.leaky_relu(scores, ATTENTION_SLOPE);
             let alpha = g.segment_softmax(scores, Arc::clone(dst), num_nodes);
             let msg = g.add(hs, he); // neighbor + edge message
             let weighted = g.mul_col_broadcast(msg, alpha);
@@ -298,6 +307,81 @@ impl RelGatLayer {
         };
         self.activation.apply(g, merged)
     }
+
+    /// Runs the layer off the tape, bitwise equal to
+    /// [`RelGatLayer::forward`]. `edges` holds each head's projected edge
+    /// features (see [`RelGatStack::project_edges`]).
+    ///
+    /// Per head, the arithmetic follows the tape op for op:
+    /// * the score of edge `(j → i)` accumulates from 0.0 over
+    ///   `[W h_i ‖ W h_j ‖ W_e e_ij]` against the attention weights, as
+    ///   the row-dot GEMM kernel does; the `W h_i` prefix is the same for
+    ///   every edge into `i`, so it is accumulated once per node and each
+    ///   edge continues the chain from it;
+    /// * then the bias, then the leaky ReLU;
+    /// * softmax per destination through the tape's own kernel;
+    /// * `(W h_j + W_e e_ij) · α_ij` added into row `i` in ascending edge
+    ///   order, straight into the head's columns of the merged output.
+    fn infer(
+        &self,
+        params: &Params,
+        x: &Matrix,
+        src: &[usize],
+        dst: &[usize],
+        edges: &[Matrix],
+    ) -> Matrix {
+        let num_nodes = x.rows();
+        let mut merged = Matrix::zeros(num_nodes, self.out_dim);
+        let mut scores = Matrix::zeros(src.len(), 1);
+        let mut alpha = Matrix::zeros(src.len(), 1);
+        for (k, (head, he)) in self.heads.iter().zip(edges).enumerate() {
+            let h = head.w.infer(params, x);
+            let dh = h.cols();
+            let attn = params.value(head.attn.weight()).as_slice();
+            let bias = params.value(head.attn.bias()).get(0, 0);
+            let (a_dst, rest) = attn.split_at(dh);
+            let (a_src, a_edge) = rest.split_at(dh);
+            let prefix: Vec<f64> = (0..num_nodes)
+                .map(|i| dot_from(0.0, h.row(i), a_dst))
+                .collect();
+            for (e, (&s, &d)) in src.iter().zip(dst).enumerate() {
+                let acc = dot_from(prefix[d], h.row(s), a_src);
+                let acc = dot_from(acc, he.row(e), a_edge);
+                scores.set(e, 0, kernels::leaky_relu(acc + bias, ATTENTION_SLOPE));
+            }
+            kernels::segment_softmax(&scores, dst, num_nodes, &mut alpha);
+            for (e, (&s, &d)) in src.iter().zip(dst).enumerate() {
+                let a = alpha.get(e, 0);
+                let out = &mut merged.row_mut(d)[k * dh..(k + 1) * dh];
+                for ((o, hs), pe) in out.iter_mut().zip(h.row(s)).zip(he.row(e)) {
+                    *o += (hs + pe) * a;
+                }
+            }
+        }
+        self.activation.apply_in_place(merged.as_mut_slice());
+        merged
+    }
+}
+
+/// `init + Σ x[k]·w[k]`, accumulated in ascending `k` with one rounded
+/// multiply-then-add per step: the row-dot GEMM kernel's chain.
+fn dot_from(init: f64, x: &[f64], w: &[f64]) -> f64 {
+    let mut acc = init;
+    for (a, b) in x.iter().zip(w) {
+        acc += a * b;
+    }
+    acc
+}
+
+/// The mesh-constant half of a [`RelGatStack`] forward: every layer's
+/// and head's edge projection `e·W_e + b_e` over one edge set. Edge
+/// features do not change between forwards on the same graph, so
+/// [`RelGatStack::project_edges`] computes these once and
+/// [`RelGatStack::infer`] reuses them.
+#[derive(Debug, Clone)]
+pub struct EdgeProjections {
+    /// `[layer][head]`, each `[num_edges × head_dim]`.
+    layers: Vec<Vec<Matrix>>,
 }
 
 /// A full RelGAT stack with per-layer [`LayerNorm`], mirroring the paper's
@@ -370,6 +454,63 @@ impl RelGatStack {
             let out = layer.forward(g, params, h, edge_feats, src, dst, num_nodes);
             let res = g.add(h, out);
             h = norm.forward(g, params, res);
+        }
+        h
+    }
+
+    /// Projects one edge set's features through every layer's and head's
+    /// `W_e`, for [`RelGatStack::infer`].
+    pub fn project_edges(&self, params: &Params, edge_feats: &Matrix) -> EdgeProjections {
+        EdgeProjections {
+            layers: self
+                .layers
+                .iter()
+                .map(|layer| {
+                    layer
+                        .heads
+                        .iter()
+                        .map(|head| head.we.infer(params, edge_feats))
+                        .collect()
+                })
+                .collect(),
+        }
+    }
+
+    /// Runs the stack off the tape: the inference path, bitwise equal to
+    /// [`RelGatStack::forward`] on the same inputs. `edges` must come
+    /// from [`RelGatStack::project_edges`] on this stack and the edge set
+    /// `src`/`dst` index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `edges` was projected for another stack shape or edge
+    /// count.
+    pub fn infer(
+        &self,
+        params: &Params,
+        node_feats: &Matrix,
+        src: &[usize],
+        dst: &[usize],
+        edges: &EdgeProjections,
+    ) -> Matrix {
+        assert_eq!(
+            edges.layers.len(),
+            self.layers.len(),
+            "one projection per layer"
+        );
+        let mut h = self.input_proj.infer(params, node_feats);
+        for ((layer, norm), projected) in self.layers.iter().zip(&self.norms).zip(&edges.layers) {
+            assert!(
+                projected.len() == layer.heads.len()
+                    && projected.iter().all(|p| p.rows() == src.len()),
+                "edge projections do not match the layer or the edge set"
+            );
+            let out = layer.infer(params, &h, src, dst, projected);
+            // The residual `h + GAT(h)`, in place.
+            for (x, o) in h.as_mut_slice().iter_mut().zip(out.as_slice()) {
+                *x += o;
+            }
+            h = norm.infer(params, &h);
         }
         h
     }

@@ -1,8 +1,16 @@
 //! Dense layers: [`Linear`], [`Mlp`] and [`LayerNorm`], composed by the
 //! GNN models in [`crate::gnn`].
 
-use crate::ad::{Graph, NodeId};
+use stco_numerics::Matrix;
+
+use crate::ad::{kernels, Graph, NodeId};
 use crate::{ParamId, Params};
+
+/// Negative-side slope of [`Activation::LeakyRelu`].
+const LEAKY_RELU_SLOPE: f64 = 0.2;
+
+/// Alpha of [`Activation::Elu`].
+const ELU_ALPHA: f64 = 1.0;
 
 /// Nonlinearity selector shared by the layer types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -27,11 +35,29 @@ impl Activation {
     pub fn apply(self, g: &mut Graph, x: NodeId) -> NodeId {
         match self {
             Activation::Relu => g.relu(x),
-            Activation::LeakyRelu => g.leaky_relu(x, 0.2),
-            Activation::Elu => g.elu(x, 1.0),
+            Activation::LeakyRelu => g.leaky_relu(x, LEAKY_RELU_SLOPE),
+            Activation::Elu => g.elu(x, ELU_ALPHA),
             Activation::Tanh => g.tanh_act(x),
             Activation::Sigmoid => g.sigmoid(x),
             Activation::Identity => x,
+        }
+    }
+
+    /// Applies the activation in place, off the tape, with the scalar
+    /// kernels of [`Activation::apply`].
+    pub(crate) fn apply_in_place(self, values: &mut [f64]) {
+        fn each(values: &mut [f64], f: impl Fn(f64) -> f64) {
+            for v in values {
+                *v = f(*v);
+            }
+        }
+        match self {
+            Activation::Relu => each(values, kernels::relu),
+            Activation::LeakyRelu => each(values, |x| kernels::leaky_relu(x, LEAKY_RELU_SLOPE)),
+            Activation::Elu => each(values, |x| kernels::elu(x, ELU_ALPHA)),
+            Activation::Tanh => each(values, f64::tanh),
+            Activation::Sigmoid => each(values, kernels::sigmoid),
+            Activation::Identity => {}
         }
     }
 }
@@ -99,6 +125,16 @@ impl Linear {
         let h = g.matmul(x, w);
         g.add_row_broadcast(h, b)
     }
+
+    /// Computes `x·W + b` off the tape, in the order of
+    /// [`Linear::forward`]: the product accumulates into a zeroed output,
+    /// then the bias row is added.
+    pub(crate) fn infer(&self, params: &Params, x: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(x.rows(), self.out_dim);
+        x.gemm_into(params.value(self.weight), &mut out);
+        kernels::add_row(&mut out, params.value(self.bias).row(0));
+        out
+    }
 }
 
 /// Per-row layer normalization with learnable gain and shift.
@@ -125,6 +161,21 @@ impl LayerNorm {
         let gamma = g.param(params, self.gamma);
         let beta = g.param(params, self.beta);
         g.layer_norm(x, gamma, beta)
+    }
+
+    /// Normalizes `x` off the tape, bitwise equal to
+    /// [`LayerNorm::forward`].
+    pub(crate) fn infer(&self, params: &Params, x: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(x.rows(), x.cols());
+        let (gamma, beta) = (params.value(self.gamma), params.value(self.beta));
+        kernels::layer_norm(
+            x,
+            gamma.row(0),
+            beta.row(0),
+            kernels::LAYER_NORM_EPS,
+            &mut out,
+        );
+        out
     }
 }
 
@@ -173,6 +224,17 @@ impl Mlp {
             x = layer.forward(g, params, x);
             if i + 1 < self.layers.len() {
                 x = self.activation.apply(g, x);
+            }
+        }
+        x
+    }
+
+    /// Runs the MLP off the tape, bitwise equal to [`Mlp::forward`].
+    pub fn infer(&self, params: &Params, mut x: Matrix) -> Matrix {
+        for (i, layer) in self.layers.iter().enumerate() {
+            x = layer.infer(params, &x);
+            if i + 1 < self.layers.len() {
+                self.activation.apply_in_place(x.as_mut_slice());
             }
         }
         x

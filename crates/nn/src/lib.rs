@@ -14,6 +14,9 @@
 //! * [`ad::Graph::backward`] walks the tape in reverse, accumulating
 //!   gradients into `Params`.
 //! * [`optim::Adam`] consumes the accumulated gradients.
+//! * Device-model predictions skip the tape: [`gnn::RelGatStack::infer`]
+//!   and [`layers::Mlp::infer`] replay the tape forward bit for bit,
+//!   sharing its formulas through [`ad::kernels`].
 //!
 //! Graph-structured operations (gather/scatter over edge lists,
 //! segment-softmax attention, sparse-adjacency aggregation) are first-class

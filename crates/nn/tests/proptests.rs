@@ -1,16 +1,103 @@
 //! Property-based tests of the autodiff engine and GNN layers:
 //! finite-difference gradient agreement on random shapes, segment
-//! softmax invariants and message-passing equivariance under random
-//! permutations.
+//! softmax invariants, message-passing equivariance under random
+//! permutations, and bitwise agreement of off-tape RelGAT inference
+//! with the tape forward.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use stco_nn::ad::Graph;
-use stco_nn::gnn::{edge_index_lists, GraphData, RelGatLayer};
-use stco_nn::layers::Activation;
-use stco_nn::Params;
+use stco_nn::gnn::{edge_index_lists, GraphData, RelGatLayer, RelGatStack};
+use stco_nn::layers::{Activation, Mlp};
+use stco_nn::{ParamId, Params};
+use stco_numerics::rng::Xorshift;
 use stco_numerics::Matrix;
+
+/// Every activation, so the MLP head exercises each off-tape kernel.
+const ACTIVATIONS: [Activation; 6] = [
+    Activation::Relu,
+    Activation::LeakyRelu,
+    Activation::Elu,
+    Activation::Tanh,
+    Activation::Sigmoid,
+    Activation::Identity,
+];
+
+/// Shape of one random RelGAT case.
+#[derive(Debug, Clone, Copy)]
+struct StackShape {
+    depth: usize,
+    heads: usize,
+    head_dim: usize,
+    node_dim: usize,
+    edge_dim: usize,
+    nodes: usize,
+    edges: usize,
+    self_loops: bool,
+    activation: usize,
+}
+
+fn stack_shape() -> impl Strategy<Value = StackShape> {
+    (
+        (1usize..4, 1usize..3, 1usize..9, 1usize..7, 1usize..7),
+        (
+            1usize..10,
+            // One graph in four has no edges at all.
+            prop_oneof![Just(0usize), 1usize..30, 1usize..30, 1usize..30],
+            any::<bool>(),
+            0..ACTIVATIONS.len(),
+        ),
+    )
+        .prop_map(
+            |(
+                (depth, heads, head_dim, node_dim, edge_dim),
+                (nodes, edges, self_loops, activation),
+            )| {
+                StackShape {
+                    depth,
+                    heads,
+                    head_dim,
+                    node_dim,
+                    edge_dim,
+                    nodes,
+                    edges,
+                    self_loops,
+                    activation,
+                }
+            },
+        )
+}
+
+/// A random graph of the given shape. Without self-loops the last node
+/// never receives an edge, so some node always aggregates nothing.
+fn random_graph(shape: &StackShape, rng: &mut Xorshift) -> GraphData {
+    let n = shape.nodes;
+    let pick = |rng: &mut Xorshift, below: usize| (rng.next_u64() % below as u64) as usize;
+    let receivers = if shape.self_loops || n == 1 { n } else { n - 1 };
+    let mut edges: Vec<(usize, usize)> = (0..shape.edges)
+        .map(|_| (pick(rng, n), pick(rng, receivers)))
+        .collect();
+    if !shape.self_loops {
+        edges.retain(|&(s, d)| s != d);
+    }
+    let uniform = |rng: &mut Xorshift, len: usize| -> Vec<f64> {
+        (0..len).map(|_| rng.uniform_in(-2.0, 2.0)).collect()
+    };
+    let mut g = GraphData {
+        node_features: Matrix::from_vec(n, shape.node_dim, uniform(rng, n * shape.node_dim)),
+        edge_features: Matrix::from_vec(
+            edges.len(),
+            shape.edge_dim,
+            uniform(rng, edges.len() * shape.edge_dim),
+        ),
+        edges,
+    };
+    if shape.self_loops {
+        g.add_self_loops();
+    }
+    g
+}
 
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     prop::collection::vec(-1.5..1.5f64, rows * cols)
@@ -160,5 +247,53 @@ proptest! {
         let c = g.input(shifted);
         let diff = g.mse_loss(a, c);
         prop_assert!(g.value(diff).get(0, 0) > 0.0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn relgat_inference_is_bitwise_equal_to_the_tape_forward(
+        shape in stack_shape(),
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut rng = Xorshift::new(seed);
+        let gd = random_graph(&shape, &mut rng);
+        let mut params = Params::new(seed);
+        let stack = RelGatStack::new(
+            &mut params,
+            shape.node_dim,
+            shape.edge_dim,
+            shape.head_dim,
+            shape.heads,
+            shape.depth,
+        );
+        let hidden = stack.hidden_dim();
+        let head = Mlp::new(&mut params, &[hidden, hidden, 2], ACTIVATIONS[shape.activation]);
+        // Random biases, gains and shifts too: the constructor zeroes
+        // biases, which would hide their place in the arithmetic.
+        let ids: Vec<ParamId> = params.tensors().map(|(id, _)| id).collect();
+        for id in ids {
+            for v in params.value_mut(id).as_mut_slice() {
+                *v = rng.uniform_in(-1.0, 1.0);
+            }
+        }
+
+        let (src, dst) = edge_index_lists(&gd.edges);
+        let mut g = Graph::new();
+        let x = g.input(gd.node_features.clone());
+        let e = g.input(gd.edge_features.clone());
+        let h_tape = stack.forward(&mut g, &params, x, e, &src, &dst, gd.num_nodes());
+        let y_tape = head.forward(&mut g, &params, h_tape);
+
+        let edges = stack.project_edges(&params, &gd.edge_features);
+        let h = stack.infer(&params, &gd.node_features, &src, &dst, &edges);
+        let y = head.infer(&params, h.clone());
+
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!((h.rows(), h.cols()), (gd.num_nodes(), hidden));
+        prop_assert_eq!(bits(&h), bits(g.value(h_tape)), "stack output differs");
+        prop_assert_eq!(bits(&y), bits(g.value(y_tape)), "MLP head output differs");
     }
 }

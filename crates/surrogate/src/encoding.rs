@@ -6,7 +6,8 @@
 //!
 //! * **material-level** — a one-hot over material classes and the
 //!   physical parameter vector (SRH lifetimes, trap densities, mobility
-//!   law, tunneling prefactor…) of [`ChannelParams::parameter_vector`];
+//!   law, tunneling prefactor…) of
+//!   [`ChannelParams::parameter_vector`](stco_tcad::materials::ChannelParams::parameter_vector);
 //! * **device-level** — a one-hot over functional regions plus an
 //!   attribute vector: normalized position, applied bias and the local
 //!   quasi-Fermi level (doping and polarity live in the material vector);
@@ -22,7 +23,8 @@ use std::sync::Arc;
 use stco_nn::gnn::GraphData;
 use stco_numerics::Matrix;
 use stco_tcad::dataset::DeviceSample;
-use stco_tcad::materials::{ChannelParams, Material};
+use stco_tcad::device::Device;
+use stco_tcad::materials::Material;
 use stco_tcad::mesh::Region;
 
 /// Which self-consistent features to inject (task dependent).
@@ -47,89 +49,171 @@ pub const NODE_DIM: usize = Material::NUM_CLASSES // material one-hot (7)
 /// Edge-feature width (Δx, Δy, log coupling).
 pub const EDGE_DIM: usize = 3;
 
+/// Column of the first per-solve node feature. The five per-solve
+/// columns are gate bias, drain bias, the local quasi-Fermi level and
+/// the two self-consistent slots (log charge, potential); everything
+/// before them is fixed by the mesh.
+const SOLVE_COLUMN: usize = NODE_DIM - 5;
+
 /// Encodes a labelled device sample as a GNN graph.
 ///
 /// Every mesh node becomes a graph node; orthogonal mesh neighbors are
 /// connected in both directions and self-loops are appended (with zero
 /// edge features) as the attention layers expect.
 pub fn encode_device(sample: &DeviceSample, task: TaskFeatures) -> GraphData {
-    let device = &sample.device;
-    let mesh = device.mesh();
-    let n = mesh.num_nodes();
-    let params: &ChannelParams = device.channel();
-    let mat_params = params.parameter_vector();
+    let mesh = DeviceGraph::new(&sample.device);
+    GraphData {
+        node_features: mesh.node_features(sample, task),
+        ..mesh.graph
+    }
+}
 
-    let xs = mesh.xs();
-    let ys = mesh.ys();
-    let x_span = xs[xs.len() - 1] - xs[0];
-    let y_span = ys[ys.len() - 1] - ys[0];
+/// The part of a device's encoding that its mesh fixes, built once per
+/// mesh: the edges with their `(src, dst)` index lists, the edge
+/// features and the static node columns (material, region, position).
+/// Only the five per-solve columns change between the solves of one
+/// device; [`DeviceGraph::refresh`] fills just those.
+#[derive(Debug, Clone)]
+pub struct DeviceGraph {
+    /// The encoding with every per-solve column zero.
+    graph: GraphData,
+    src: Arc<Vec<usize>>,
+    dst: Arc<Vec<usize>>,
+}
 
-    let mut features = Vec::with_capacity(n * NODE_DIM);
-    for i in 0..n {
-        let mat = mesh.material(i);
-        let region = mesh.region(i);
-        let (x, y) = mesh.position(i);
-        // Material one-hot.
-        let mut row = vec![0.0; NODE_DIM];
-        row[mat.class_index()] = 1.0;
-        // Material parameter vector (only meaningful in the channel, but
-        // constant per device; zero elsewhere keeps materials separable).
-        if mat.is_semiconductor() {
-            for (k, v) in mat_params.iter().enumerate() {
-                row[Material::NUM_CLASSES + k] = *v;
+impl DeviceGraph {
+    /// Encodes everything `device`'s mesh fixes.
+    pub fn new(device: &Device) -> Self {
+        let mesh = device.mesh();
+        let n = mesh.num_nodes();
+        let mat_params = device.channel().parameter_vector();
+
+        let xs = mesh.xs();
+        let ys = mesh.ys();
+        let x_span = xs[xs.len() - 1] - xs[0];
+        let y_span = ys[ys.len() - 1] - ys[0];
+
+        let mut static_nodes = Matrix::zeros(n, NODE_DIM);
+        for i in 0..n {
+            let mat = mesh.material(i);
+            let (x, y) = mesh.position(i);
+            let row = static_nodes.row_mut(i);
+            // Material one-hot.
+            row[mat.class_index()] = 1.0;
+            // Material parameter vector (only meaningful in the channel,
+            // but constant per device; zero elsewhere keeps materials
+            // separable).
+            if mat.is_semiconductor() {
+                row[Material::NUM_CLASSES..Material::NUM_CLASSES + mat_params.len()]
+                    .copy_from_slice(&mat_params);
+            }
+            // Region one-hot.
+            row[Material::NUM_CLASSES + 12 + mesh.region(i).class_index()] = 1.0;
+            // Normalized position.
+            let base = Material::NUM_CLASSES + 12 + Region::NUM_CLASSES;
+            row[base] = x / x_span;
+            row[base + 1] = y / y_span;
+        }
+
+        // Edges: orthogonal mesh neighbors, both directions.
+        let mut edges = Vec::new();
+        let mut edge_feats = Vec::new();
+        for i in 0..n {
+            let (xi, yi) = mesh.position(i);
+            for j in mesh.neighbors(i) {
+                let (xj, yj) = mesh.position(j);
+                edges.push((i, j));
+                let coupling = mesh.coupling_factor(i, j);
+                edge_feats.extend([
+                    (xj - xi) / x_span,
+                    (yj - yi) / y_span,
+                    (coupling.max(1e-3)).ln() / 10.0,
+                ]);
             }
         }
-        // Region one-hot.
-        row[Material::NUM_CLASSES + 12 + region.class_index()] = 1.0;
-        // Device-level attributes.
-        let base = Material::NUM_CLASSES + 12 + Region::NUM_CLASSES;
-        row[base] = x / x_span;
-        row[base + 1] = y / y_span;
-        row[base + 2] = sample.bias.gate;
-        row[base + 3] = sample.bias.drain;
-        row[base + 4] = device.quasi_fermi(x, sample.bias);
-        // Task-specific self-consistent features.
-        let sc = base + 5;
-        match task {
-            TaskFeatures::Poisson | TaskFeatures::Iv => {
-                let dens = sample.solution.carrier_density[i];
-                row[sc] = if dens > 0.0 {
-                    (dens.log10() - 18.0) / 10.0
-                } else {
-                    -3.0
-                };
-                if task == TaskFeatures::Iv {
-                    row[sc + 1] = sample.solution.psi[i];
-                }
-            }
-            TaskFeatures::None => {}
-        }
-        features.extend(row);
+        let mut graph = GraphData {
+            node_features: static_nodes,
+            edges,
+            edge_features: Matrix::from_vec(edge_feats.len() / EDGE_DIM, EDGE_DIM, edge_feats),
+        };
+        graph.add_self_loops();
+        let (src, dst) = index_lists(&graph);
+        DeviceGraph { graph, src, dst }
     }
 
-    // Edges: orthogonal mesh neighbors, both directions.
-    let mut edges = Vec::new();
-    let mut edge_feats = Vec::new();
-    for i in 0..n {
-        let (xi, yi) = mesh.position(i);
-        for j in mesh.neighbors(i) {
-            let (xj, yj) = mesh.position(j);
-            edges.push((i, j));
-            let coupling = mesh.coupling_factor(i, j);
-            edge_feats.extend([
-                (xj - xi) / x_span,
-                (yj - yi) / y_span,
-                (coupling.max(1e-3)).ln() / 10.0,
+    /// Number of mesh nodes.
+    pub(crate) fn num_nodes(&self) -> usize {
+        self.graph.num_nodes()
+    }
+
+    /// Source node of every edge.
+    pub(crate) fn src(&self) -> &[usize] {
+        &self.src
+    }
+
+    /// Destination node of every edge.
+    pub(crate) fn dst(&self) -> &[usize] {
+        &self.dst
+    }
+
+    /// `[num_edges × EDGE_DIM]` edge features.
+    pub(crate) fn edge_features(&self) -> &Matrix {
+        &self.graph.edge_features
+    }
+
+    /// The node features of one solve: the static columns, with the
+    /// per-solve columns filled from `sample` by
+    /// [`DeviceGraph::refresh`].
+    pub fn node_features(&self, sample: &DeviceSample, task: TaskFeatures) -> Matrix {
+        let mut nodes = self.graph.node_features.clone();
+        self.refresh(sample, task, &mut nodes);
+        nodes
+    }
+
+    /// Overwrites the five per-solve columns of `nodes` from `sample`
+    /// (its bias and self-consistent solution) for `task`, leaving the
+    /// static columns as they are. `sample` must be a solve of the
+    /// device this graph was built from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` is not `[num_nodes × NODE_DIM]`.
+    pub fn refresh(&self, sample: &DeviceSample, task: TaskFeatures, nodes: &mut Matrix) {
+        assert_eq!(
+            (nodes.rows(), nodes.cols()),
+            (self.num_nodes(), NODE_DIM),
+            "node features of this mesh"
+        );
+        let device = &sample.device;
+        let mesh = device.mesh();
+        let solution = &sample.solution;
+        for i in 0..self.num_nodes() {
+            let (x, _) = mesh.position(i);
+            let log_charge = match task {
+                TaskFeatures::Poisson | TaskFeatures::Iv => {
+                    let dens = solution.carrier_density[i];
+                    if dens > 0.0 {
+                        (dens.log10() - 18.0) / 10.0
+                    } else {
+                        -3.0
+                    }
+                }
+                TaskFeatures::None => 0.0,
+            };
+            let psi = if task == TaskFeatures::Iv {
+                solution.psi[i]
+            } else {
+                0.0
+            };
+            nodes.row_mut(i)[SOLVE_COLUMN..].copy_from_slice(&[
+                sample.bias.gate,
+                sample.bias.drain,
+                device.quasi_fermi(x, sample.bias),
+                log_charge,
+                psi,
             ]);
         }
     }
-    let mut graph = GraphData {
-        node_features: Matrix::from_vec(n, NODE_DIM, features),
-        edges,
-        edge_features: Matrix::from_vec(edge_feats.len() / EDGE_DIM, EDGE_DIM, edge_feats),
-    };
-    graph.add_self_loops();
-    graph
 }
 
 /// Node-regression targets for the Poisson emulator: the potential map.

@@ -9,17 +9,17 @@
 
 use std::sync::Arc;
 
-use stco_nn::ad::Graph;
-use stco_nn::gnn::{GraphData, RelGatStack};
+use stco_nn::ad::{kernels, Graph};
+use stco_nn::gnn::{EdgeProjections, GraphData, RelGatStack};
 use stco_nn::layers::{Activation, Mlp};
 use stco_nn::optim::Adam;
 use stco_nn::train::{fit, parallel_batch_step, TrainConfig};
 use stco_nn::Params;
-use stco_numerics::stats;
+use stco_numerics::{stats, Matrix};
 use stco_par::ParConfig;
 use stco_tcad::dataset::DeviceSample;
 
-use crate::encoding::{encode_device, index_lists, TaskFeatures, EDGE_DIM, NODE_DIM};
+use crate::encoding::{encode_device, index_lists, DeviceGraph, TaskFeatures, EDGE_DIM, NODE_DIM};
 use crate::poisson_emulator::RegressionMetrics;
 use crate::{Result, SurrogateError};
 
@@ -239,11 +239,41 @@ impl IvPredictor {
     /// [`IvPredictor::predict_log_current`] on the sample the graph was
     /// encoded from.
     pub fn predict_log_current_graph(&self, graph: &GraphData) -> f64 {
-        let index = IvIndex::of(graph);
-        Graph::with_scratch(|g| {
-            let pred = forward_one(&self.stack, &self.head, &self.params, graph, &index, g);
-            g.value(pred).get(0, 0) * self.target_std + self.target_mean
-        })
+        let (src, dst) = index_lists(graph);
+        let edges = self.stack.project_edges(&self.params, &graph.edge_features);
+        self.infer(&graph.node_features, &src, &dst, &edges)
+    }
+
+    /// This model's edge projections on one device mesh: the part of a
+    /// forward the mesh fixes, computed once and reused by every
+    /// [`IvPredictor::predict_log_current_prepared`] on that mesh.
+    pub fn project_edges(&self, mesh: &DeviceGraph) -> EdgeProjections {
+        self.stack.project_edges(&self.params, mesh.edge_features())
+    }
+
+    /// Predicts `log₁₀|I_D|` of one solve on a prepared mesh: `edges`
+    /// from [`IvPredictor::project_edges`] on `mesh`, and `nodes` the
+    /// solve's IV-task node features ([`DeviceGraph::node_features`] or
+    /// [`DeviceGraph::refresh`]). Bitwise-identical to
+    /// [`IvPredictor::predict_log_current`] on that solve.
+    pub fn predict_log_current_prepared(
+        &self,
+        mesh: &DeviceGraph,
+        edges: &EdgeProjections,
+        nodes: &Matrix,
+    ) -> f64 {
+        self.infer(nodes, mesh.src(), mesh.dst(), edges)
+    }
+
+    /// The off-tape forward every prediction runs: the stack, mean
+    /// pooling over all nodes (the tape's `segment_mean` kernel with
+    /// one segment), then the MLP head.
+    fn infer(&self, nodes: &Matrix, src: &[usize], dst: &[usize], edges: &EdgeProjections) -> f64 {
+        let h = self.stack.infer(&self.params, nodes, src, dst, edges);
+        let mut pooled = Matrix::zeros(1, h.cols());
+        kernels::segment_mean(&h, &vec![0; h.rows()], &mut pooled);
+        let pred = self.head.infer(&self.params, pooled);
+        pred.get(0, 0) * self.target_std + self.target_mean
     }
 
     /// Serializes the trained model into an artifact of kind
@@ -311,7 +341,7 @@ impl IvPredictor {
 
     /// Predicted drain-current magnitude, A.
     pub fn predict_current(&self, sample: &DeviceSample) -> f64 {
-        10.0_f64.powf(self.predict_log_current(sample))
+        current_from_log(self.predict_log_current(sample))
     }
 
     /// Table II metrics on normalized log-current targets.
@@ -339,6 +369,11 @@ impl IvPredictor {
             count: targets.len(),
         })
     }
+}
+
+/// The drain-current magnitude, A, of a predicted `log₁₀|I_D|`.
+pub fn current_from_log(log_current: f64) -> f64 {
+    10.0_f64.powf(log_current)
 }
 
 /// One forward pass over a borrowed graph: its two feature matrices are

@@ -10,17 +10,17 @@
 use std::sync::Arc;
 
 use stco_nn::ad::Graph;
-use stco_nn::gnn::{GraphData, RelGatStack};
+use stco_nn::gnn::{EdgeProjections, GraphData, RelGatStack};
 use stco_nn::layers::{Activation, Mlp};
 use stco_nn::optim::Adam;
 use stco_nn::train::{fit, parallel_batch_step, TrainConfig};
 use stco_nn::Params;
-use stco_numerics::stats;
+use stco_numerics::{stats, Matrix};
 use stco_par::ParConfig;
 use stco_tcad::dataset::DeviceSample;
 
 use crate::encoding::{
-    encode_device, index_lists, potential_targets, TaskFeatures, EDGE_DIM, NODE_DIM,
+    encode_device, index_lists, potential_targets, DeviceGraph, TaskFeatures, EDGE_DIM, NODE_DIM,
 };
 use crate::{Result, SurrogateError};
 
@@ -225,19 +225,45 @@ impl PoissonEmulator {
     /// the sample the graph was encoded from.
     pub fn predict_graph(&self, graph: &GraphData) -> Vec<f64> {
         let (src, dst) = index_lists(graph);
-        Graph::with_scratch(|g| {
-            let x = g.input(graph.node_features.clone());
-            let e = g.input(graph.edge_features.clone());
-            let h = self
-                .stack
-                .forward(g, &self.params, x, e, &src, &dst, graph.num_nodes());
-            let pred = self.head.forward(g, &self.params, h);
-            g.value(pred)
-                .as_slice()
-                .iter()
-                .map(|v| v * self.target_std + self.target_mean)
-                .collect()
-        })
+        let edges = self.stack.project_edges(&self.params, &graph.edge_features);
+        self.infer(&graph.node_features, &src, &dst, &edges)
+    }
+
+    /// This model's edge projections on one device mesh: the part of a
+    /// forward the mesh fixes, computed once and reused by every
+    /// [`PoissonEmulator::predict_prepared`] on that mesh.
+    pub fn project_edges(&self, mesh: &DeviceGraph) -> EdgeProjections {
+        self.stack.project_edges(&self.params, mesh.edge_features())
+    }
+
+    /// Predicts the potential map of one solve on a prepared mesh:
+    /// `edges` from [`PoissonEmulator::project_edges`] on `mesh`, and
+    /// `nodes` the solve's Poisson-task node features
+    /// ([`DeviceGraph::node_features`] or [`DeviceGraph::refresh`]).
+    /// Bitwise-identical to [`PoissonEmulator::predict`] on that solve.
+    pub fn predict_prepared(
+        &self,
+        mesh: &DeviceGraph,
+        edges: &EdgeProjections,
+        nodes: &Matrix,
+    ) -> Vec<f64> {
+        self.infer(nodes, mesh.src(), mesh.dst(), edges)
+    }
+
+    /// The off-tape forward every prediction runs.
+    fn infer(
+        &self,
+        nodes: &Matrix,
+        src: &[usize],
+        dst: &[usize],
+        edges: &EdgeProjections,
+    ) -> Vec<f64> {
+        let h = self.stack.infer(&self.params, nodes, src, dst, edges);
+        let pred = self.head.infer(&self.params, h);
+        pred.as_slice()
+            .iter()
+            .map(|v| v * self.target_std + self.target_mean)
+            .collect()
     }
 
     /// Serializes the trained model (weights + target normalization +

@@ -1,0 +1,238 @@
+//! Golden fingerprints of the device surrogates' inference path: the
+//! unified device encoding for every task, and seeded untrained Poisson
+//! emulators and IV predictors, on the CNT, LTPS and IGZO reference
+//! devices at two biases each. A change to any encoded feature or any
+//! predicted value, down to one bit, fails here.
+
+use stco_surrogate::encoding::{encode_device, TaskFeatures};
+use stco_surrogate::iv_predictor::{IvConfig, IvPredictor};
+use stco_surrogate::poisson_emulator::{PoissonConfig, PoissonEmulator};
+use stco_tcad::dataset::DeviceSample;
+use stco_tcad::device::{Bias, DeviceSpec};
+use stco_tcad::materials::Technology;
+
+/// `(technology, bias index, fingerprint)` of `encode_device` for the
+/// Poisson, IV and feature-free tasks, in that order per device.
+const GOLDEN_ENCODING: [(&str, usize, [u64; 3]); 6] = [
+    (
+        "CNT",
+        0,
+        [0x874b8a979de032d5, 0xc0ca946f1a7558fd, 0xe680b370d9ae2953],
+    ),
+    (
+        "CNT",
+        1,
+        [0x0277faa52a3eb18a, 0x6123312fe36c95d0, 0x8d9b2cd1cd207e0b],
+    ),
+    (
+        "LTPS",
+        0,
+        [0x606c2d3fc3038cac, 0xb78139ba16221f57, 0x5fc52e2d92525ec0],
+    ),
+    (
+        "LTPS",
+        1,
+        [0x77809795561b9a43, 0x6cbfb1382413428b, 0x7076ae14a089c318],
+    ),
+    (
+        "IGZO",
+        0,
+        [0xf5919d49cb867792, 0x1ca4072f1d1f8de8, 0xfc9f7a4dff20d033],
+    ),
+    (
+        "IGZO",
+        1,
+        [0x014fb7de683faa05, 0x0e5aae8c653a28ab, 0x8f15be70d2c830f3],
+    ),
+];
+
+/// `(technology, bias index, fingerprint)` of the two Poisson emulators'
+/// `predict` and `predict_graph` outputs.
+const GOLDEN_POISSON: [(&str, usize, u64); 6] = [
+    ("CNT", 0, 0x5a4a36a03208100d),
+    ("CNT", 1, 0xa0d0e257bc199b7d),
+    ("LTPS", 0, 0x08a5a34bbb338825),
+    ("LTPS", 1, 0xc2e0b9885b3f0751),
+    ("IGZO", 0, 0xaa37adf4d1809a8d),
+    ("IGZO", 1, 0x44d16064fb7941d9),
+];
+
+/// `(technology, bias index, fingerprint)` of the two IV predictors'
+/// `predict_log_current` and `predict_log_current_graph` outputs.
+const GOLDEN_IV: [(&str, usize, u64); 6] = [
+    ("CNT", 0, 0xd99ad2d6df1766ed),
+    ("CNT", 1, 0xccfd2c63ea35524d),
+    ("LTPS", 0, 0x203e8337251d723d),
+    ("LTPS", 1, 0x76464f89d31ce05d),
+    ("IGZO", 0, 0xbbffb0721466960d),
+    ("IGZO", 1, 0x77d19a062fcf8c75),
+];
+
+/// Fingerprint of the four models' `evaluate` metrics (MSE and R² bits)
+/// over all six devices.
+const GOLDEN_EVALUATE: u64 = 0xa295704c86e6c64f;
+
+const TECHNOLOGIES: [(Technology, &str); 3] = [
+    (Technology::Cnt, "CNT"),
+    (Technology::Ltps, "LTPS"),
+    (Technology::Igzo, "IGZO"),
+];
+
+/// FNV-1a 64 over `bytes`.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn value_bytes(values: &[f64]) -> impl Iterator<Item = u8> + '_ {
+    values.iter().flat_map(|v| v.to_bits().to_le_bytes())
+}
+
+/// The reference device of each technology, solved by TCAD at a weak
+/// and a strong bias point (signed by the channel polarity).
+fn devices() -> Vec<(&'static str, usize, DeviceSample)> {
+    let mut out = Vec::new();
+    for (tech, name) in TECHNOLOGIES {
+        let spec = DeviceSpec::reference(tech);
+        let sign = spec.channel.polarity.sign();
+        for (k, (gate, drain)) in [(1.2, 0.1), (3.0, 3.0)].into_iter().enumerate() {
+            let bias = Bias {
+                gate: sign * gate,
+                drain: sign * drain,
+            };
+            let sample = DeviceSample::simulate(spec.clone(), bias).expect("reference solves");
+            out.push((name, k, sample));
+        }
+    }
+    out
+}
+
+/// A single-head stack of the Table I bundle's shape and a two-head
+/// stack, so both the one-head and the concatenating merge are pinned.
+fn poisson_models() -> [PoissonEmulator; 2] {
+    [
+        PoissonEmulator::new(PoissonConfig {
+            depth: 2,
+            heads: 1,
+            head_dim: 8,
+            ..PoissonConfig::default()
+        }),
+        PoissonEmulator::new(PoissonConfig {
+            depth: 2,
+            heads: 2,
+            head_dim: 4,
+            seed: 9,
+            ..PoissonConfig::default()
+        }),
+    ]
+}
+
+fn iv_models() -> [IvPredictor; 2] {
+    [
+        IvPredictor::new(IvConfig {
+            depth: 2,
+            head_dim: 8,
+            mlp_hidden: 12,
+            ..IvConfig::default()
+        }),
+        IvPredictor::new(IvConfig {
+            heads: 2,
+            head_dim: 5,
+            seed: 11,
+            ..IvConfig::default()
+        }),
+    ]
+}
+
+fn table(rows: &[(&str, usize, u64)]) -> String {
+    rows.iter()
+        .map(|(name, k, f)| format!("    ({name:?}, {k}, {f:#018x}),\n"))
+        .collect()
+}
+
+#[test]
+fn device_encodings_match_golden_fingerprints() {
+    let got: Vec<(&str, usize, [u64; 3])> = devices()
+        .iter()
+        .map(|(name, k, sample)| {
+            let prints =
+                [TaskFeatures::Poisson, TaskFeatures::Iv, TaskFeatures::None].map(|task| {
+                    let g = encode_device(sample, task);
+                    fnv1a(
+                        value_bytes(g.node_features.as_slice())
+                            .chain(g.edges.iter().flat_map(|&(s, d)| {
+                                (s as u64)
+                                    .to_le_bytes()
+                                    .into_iter()
+                                    .chain((d as u64).to_le_bytes())
+                            }))
+                            .chain(value_bytes(g.edge_features.as_slice())),
+                    )
+                });
+            (*name, *k, prints)
+        })
+        .collect();
+    let now: String = got
+        .iter()
+        .map(|(name, k, [p, i, n])| {
+            format!("    ({name:?}, {k}, [{p:#018x}, {i:#018x}, {n:#018x}]),\n")
+        })
+        .collect();
+    assert_eq!(got, GOLDEN_ENCODING, "fingerprints now:\n{now}");
+}
+
+#[test]
+fn poisson_predictions_match_golden_fingerprints() {
+    let models = poisson_models();
+    let got: Vec<(&str, usize, u64)> = devices()
+        .iter()
+        .map(|(name, k, sample)| {
+            let graph = encode_device(sample, TaskFeatures::Poisson);
+            let mut values = Vec::new();
+            for model in &models {
+                values.extend(model.predict(sample));
+                values.extend(model.predict_graph(&graph));
+            }
+            (*name, *k, fnv1a(value_bytes(&values)))
+        })
+        .collect();
+    assert_eq!(got, GOLDEN_POISSON, "fingerprints now:\n{}", table(&got));
+}
+
+#[test]
+fn iv_predictions_match_golden_fingerprints() {
+    let models = iv_models();
+    let got: Vec<(&str, usize, u64)> = devices()
+        .iter()
+        .map(|(name, k, sample)| {
+            let graph = encode_device(sample, TaskFeatures::Iv);
+            let values: Vec<f64> = models
+                .iter()
+                .flat_map(|m| {
+                    [
+                        m.predict_log_current(sample),
+                        m.predict_log_current_graph(&graph),
+                    ]
+                })
+                .collect();
+            (*name, *k, fnv1a(value_bytes(&values)))
+        })
+        .collect();
+    assert_eq!(got, GOLDEN_IV, "fingerprints now:\n{}", table(&got));
+}
+
+#[test]
+fn evaluation_metrics_match_golden_fingerprint() {
+    let samples: Vec<DeviceSample> = devices().into_iter().map(|(_, _, s)| s).collect();
+    let mut metrics = Vec::new();
+    for model in &poisson_models() {
+        metrics.push(model.evaluate(&samples).expect("evaluates"));
+    }
+    for model in &iv_models() {
+        metrics.push(model.evaluate(&samples).expect("evaluates"));
+    }
+    let values: Vec<f64> = metrics.iter().flat_map(|m| [m.mse, m.r_squared]).collect();
+    let got = fnv1a(value_bytes(&values));
+    assert_eq!(got, GOLDEN_EVALUATE, "fingerprint now: {got:#018x}");
+}

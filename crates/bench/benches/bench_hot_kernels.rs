@@ -10,12 +10,9 @@ use stco_cells::library::{CellKind, CellType};
 use stco_compact::tech::{CornerGrid, TechnologyCard};
 use stco_numerics::dense::{LuFactors, Matrix};
 use stco_numerics::rng::Xorshift;
-use stco_numerics::MatrixF32;
 use stco_spice::analysis::TranConfig;
 use stco_spice::netlist::{Circuit, Waveform};
-use stco_surrogate::cell_model::{
-    BatchedCellGraph, CellModel, CellModelConfig, InferencePrecision,
-};
+use stco_surrogate::cell_model::{BatchedCellGraph, CellModel, CellModelConfig};
 use stco_tcad::materials::Technology;
 
 fn random_matrix(rng: &mut Xorshift, rows: usize, cols: usize) -> Matrix {
@@ -125,16 +122,6 @@ fn bench_blocked_gemm(c: &mut Criterion) {
                 x.gemm_tn_into_blocked(&g, &mut out);
             })
         });
-        // The f32 fast-path kernel at the same shape.
-        let xf = MatrixF32::from_f64(&x);
-        let wf = MatrixF32::from_f64(&w);
-        group.bench_function("nn_blocked_f32", |b| {
-            let mut out = MatrixF32::zeros(m, GAT_HIDDEN);
-            b.iter(|| {
-                out.reset_zeroed(m, GAT_HIDDEN);
-                xf.gemm_into_blocked(&wf, &mut out);
-            })
-        });
         group.finish();
     }
 }
@@ -227,12 +214,6 @@ fn bench_batched_forward(c: &mut Criterion) {
     group.bench_function("predict_batch_32_prepacked", |b| {
         let batch = BatchedCellGraph::pack(&refs);
         b.iter(|| model.predict_batch(&batch, &lists))
-    });
-    let mut f32_model = model.clone();
-    f32_model.set_precision(InferencePrecision::F32);
-    group.bench_function("predict_batch_32_f32", |b| {
-        let batch = BatchedCellGraph::pack(&refs);
-        b.iter(|| f32_model.predict_batch(&batch, &lists))
     });
     group.finish();
 }

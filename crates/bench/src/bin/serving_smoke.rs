@@ -33,15 +33,6 @@
 //!
 //! Honours `STCO_THREADS` like every other parallel path, so CI runs
 //! it at 1 and 4 threads.
-//!
-//! **`STCO_PRECISION=f32`.** The server process (this process) loads
-//! artifacts through `precision_from_env()`, so setting the variable
-//! switches the *served* model to the narrowed-weight f32 fast path
-//! while the in-process reference model here stays f64. Phase 3 then
-//! validates the precision contract end-to-end over TCP: every reply
-//! must land within `F32_REL_ERROR_BOUND` of the f64 prediction
-//! instead of bitwise-matching it, and the serving-curve document is
-//! written with `bitwise_identical: false`.
 
 use std::time::Instant;
 
@@ -52,22 +43,15 @@ use stco_serve::demo::{demo_graph, demo_key, train_demo_model, DEMO_CELLS};
 use stco_serve::service::{BatchConfig, ModelService, PredictInput};
 use stco_serve::{Client, TcpServer};
 use stco_store::Registry;
-use stco_surrogate::cell_model::{CellModel, F32_REL_ERROR_BOUND, METRICS};
+use stco_surrogate::cell_model::{CellModel, METRICS};
 
 const CONCURRENT_REQUESTS: usize = 64;
 const SWEEP_STEPS: [usize; 8] = [4, 8, 16, 32, 64, 128, 256, 512];
 const SWEEP_REQUESTS_PER_CONN: usize = 32;
 const SWEEP_WARMUP_PER_CONN: usize = 8;
 
-/// Mirrors the serve-side `precision_from_env()`: the served model and
-/// this gate must agree on the mode from the same variable.
-fn f32_mode() -> bool {
-    std::env::var("STCO_PRECISION").is_ok_and(|v| v.trim().eq_ignore_ascii_case("f32"))
-}
-
 fn main() {
     let t_total = Instant::now();
-    let f32_mode = f32_mode();
 
     // 1. Train and export into a scratch registry (unless STCO_STORE_DIR
     // points somewhere explicit, which CI uses to keep runs hermetic).
@@ -96,16 +80,12 @@ fn main() {
     };
     println!(
         "serving {model_id} on {addr} (STCO_THREADS={}, shards={shard_count}, \
-         model shard {model_shard}, precision={})",
+         model shard {model_shard})",
         ParConfig::current().threads,
-        if f32_mode { "f32" } else { "f64" }
     );
 
-    // 3. 64 concurrent requests; every request's expected reply is the
-    // in-process f64 prediction for the same input. In the default mode
-    // replies must match it bitwise; under STCO_PRECISION=f32 the served
-    // model runs the narrowed fast path, so replies must instead land
-    // within F32_REL_ERROR_BOUND of the f64 reference.
+    // 3. 64 concurrent requests; every reply must bitwise-match the
+    // in-process prediction for the same input.
     let all_metrics: Vec<usize> = (0..METRICS.len()).collect();
     let requests: Vec<(PredictInput, Vec<f64>)> = (0..CONCURRENT_REQUESTS)
         .map(|i| {
@@ -132,41 +112,22 @@ fn main() {
                     let got = client
                         .predict(&model_id, input, Some(10_000))
                         .expect("predict");
-                    if got.len() != expected.len() {
-                        return 1usize;
-                    }
-                    let ok = got.iter().zip(expected).all(|(g, e)| {
-                        if f32_mode {
-                            ((g - e) / e).abs() <= F32_REL_ERROR_BOUND
-                        } else {
-                            g.to_bits() == e.to_bits()
-                        }
-                    });
+                    let ok = got.len() == expected.len()
+                        && got
+                            .iter()
+                            .zip(expected)
+                            .all(|(g, e)| g.to_bits() == e.to_bits());
                     usize::from(!ok)
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("join")).sum()
     });
-    if f32_mode {
-        assert_eq!(
-            mismatches, 0,
-            "{mismatches}/{CONCURRENT_REQUESTS} f32 TCP replies exceeded the \
-             {F32_REL_ERROR_BOUND:e} relative-error bound vs in-process f64 predict_many"
-        );
-        println!(
-            "all {CONCURRENT_REQUESTS} concurrent f32 replies within {F32_REL_ERROR_BOUND:e} \
-             of in-process f64 predict_many"
-        );
-    } else {
-        assert_eq!(
-            mismatches, 0,
-            "{mismatches}/{CONCURRENT_REQUESTS} TCP replies differed from in-process predict_many"
-        );
-        println!(
-            "all {CONCURRENT_REQUESTS} concurrent replies bitwise-match in-process predict_many"
-        );
-    }
+    assert_eq!(
+        mismatches, 0,
+        "{mismatches}/{CONCURRENT_REQUESTS} TCP replies differed from in-process predict_many"
+    );
+    println!("all {CONCURRENT_REQUESTS} concurrent replies bitwise-match in-process predict_many");
 
     // 4. The metrics op must expose the serve telemetry in both
     // renderings, and stats must carry the moving counters + slow log.
@@ -321,7 +282,7 @@ fn main() {
         client_max_p99 * 1e3
     );
 
-    let doc = load_curve_to_json(ParConfig::current().threads, shard_count, !f32_mode, &steps);
+    let doc = load_curve_to_json(ParConfig::current().threads, shard_count, true, &steps);
     stco_bench::validate_serving_curve(&doc, SWEEP_STEPS.len())
         .expect("BENCH_serving.json schema validation");
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json");

@@ -147,14 +147,23 @@ impl CellCharacterization {
 ///
 /// # Errors
 ///
-/// Propagates SPICE failures; returns [`CellsError::NoSensitization`] if
-/// a combinational cell has an input that cannot toggle its output.
+/// Returns [`CellsError::Characterization`] for an empty slew or load
+/// axis, before any simulation runs; propagates SPICE failures; returns
+/// [`CellsError::NoSensitization`] if a combinational cell has an input
+/// that cannot toggle its output.
 pub fn characterize(
     cell: &CellType,
     card: &TechnologyCard,
     config: &CharConfig,
 ) -> Result<CellCharacterization> {
     let _span = stco_obs::span!("cells.characterize", cell = cell.name);
+    for (name, axis) in [("slew", &config.slews), ("load", &config.loads)] {
+        if axis.is_empty() {
+            return Err(CellsError::Characterization {
+                context: format!("{name} axis is empty"),
+            });
+        }
+    }
     let built = cell.build(card, 1.0);
     let capacitance = built.max_input_capacitance();
     let leakage_power = {
@@ -1089,5 +1098,33 @@ mod tests {
         assert!(metrics.contains(&"capacitance"));
         assert!(metrics.contains(&"leakage_power"));
         assert!(!metrics.contains(&"min_setup"), "INV is combinational");
+    }
+
+    #[test]
+    fn empty_characterization_axes_are_rejected() {
+        let grids = [(vec![], vec![10.0e-15]), (vec![2.0e-9], vec![])];
+        for (slews, loads) in grids {
+            let cfg = CharConfig {
+                slews,
+                loads,
+                ..CharConfig::fast()
+            };
+            // NAND2 reaches the non-flip arc, DFF the sequential constraints.
+            for kind in [CellKind::Nand2, CellKind::Dff] {
+                let cell = CellType::by_kind(kind);
+                assert!(matches!(
+                    characterize(&cell, &card(), &cfg),
+                    Err(CellsError::Characterization { .. })
+                ));
+                assert!(matches!(
+                    crate::liberty::Library::characterize_subset(
+                        &card(),
+                        &cfg,
+                        std::slice::from_ref(&cell)
+                    ),
+                    Err(CellsError::Characterization { .. })
+                ));
+            }
+        }
     }
 }

@@ -36,16 +36,6 @@ impl TimingTable {
     pub fn output_slew(&self, input_slew: f64, load: f64) -> f64 {
         self.output_slew.eval(input_slew, load).max(1e-15)
     }
-
-    /// The raw delay table (for serialization).
-    pub fn delay_table(&self) -> &Bilinear {
-        &self.delay
-    }
-
-    /// The raw output-slew table (for serialization).
-    pub fn slew_table(&self) -> &Bilinear {
-        &self.output_slew
-    }
 }
 
 /// One characterized library cell.
@@ -156,29 +146,28 @@ fn build_lib_cell(
     })
 }
 
-/// Builds a worst-over-arcs Bilinear table on the characterization grid.
+/// Builds a worst-over-arcs Bilinear table on the characterization grid,
+/// each axis expanded by [`expand_axis`].
 fn worst_arc_table(samples: &[ArcSample], slews: &[f64], loads: &[f64]) -> Result<Bilinear> {
-    if slews.len() == 1 || loads.len() == 1 {
-        // Degenerate grid: replicate the single axis so Bilinear works.
-        let (s2, l2) = (expand_axis(slews), expand_axis(loads));
-        let mut values = Vec::new();
-        for &s in &s2 {
-            for &l in &l2 {
-                values.push(worst_at(samples, s, l)?);
-            }
-        }
-        return Bilinear::new(s2, l2, values).map_err(CellsError::from);
-    }
-    let mut values = Vec::new();
-    for &s in slews {
-        for &l in loads {
+    let (slews, loads) = (expand_axis(slews), expand_axis(loads));
+    let mut values = Vec::with_capacity(slews.len() * loads.len());
+    for &s in &slews {
+        for &l in &loads {
             values.push(worst_at(samples, s, l)?);
         }
     }
-    Bilinear::new(slews.to_vec(), loads.to_vec(), values).map_err(CellsError::from)
+    Bilinear::new(slews, loads, values).map_err(CellsError::from)
 }
 
-fn expand_axis(axis: &[f64]) -> Vec<f64> {
+/// The axis an NLDM table tabulates for one characterization axis: two
+/// or more points stay as they are, and a single point `v` becomes
+/// `[v, 2v]`, so bilinear interpolation has a cell to span. Measured and
+/// predicted libraries both tabulate on the axes this returns.
+///
+/// # Panics
+///
+/// Panics if `axis` is empty.
+pub fn expand_axis(axis: &[f64]) -> Vec<f64> {
     if axis.len() >= 2 {
         axis.to_vec()
     } else {
@@ -207,86 +196,6 @@ fn worst_at(samples: &[ArcSample], slew: f64, load: f64) -> Result<f64> {
     } else {
         Ok(worst)
     }
-}
-
-/// Serializes a characterized library in a Liberty-flavoured text format
-/// (a faithful subset: `cell`, `pin`, NLDM `lu_table` groups), so the
-/// characterization output can be inspected with standard tooling habits
-/// or diffed between corners.
-pub fn write_liberty(library: &Library) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "library (fast_stco_{}) {{\n  voltage_unit : \"1V\";\n  time_unit : \"1ns\";\n  \
-         capacitive_load_unit (1, ff);\n  nom_voltage : {:.3};\n\n",
-        library.card.technology.name().to_lowercase(),
-        library.card.vdd
-    ));
-    for cell in &library.cells {
-        out.push_str(&format!(
-            "  cell ({}) {{\n    area : {:.4};\n    cell_leakage_power : {:.6e};\n",
-            cell.name,
-            cell.area * 1e12, // µm²
-            cell.leakage_power
-        ));
-        out.push_str(&format!(
-            "    pin (IN) {{ direction : input; capacitance : {:.4}; }}\n",
-            cell.input_capacitance * 1e15
-        ));
-        out.push_str("    pin (OUT) {\n      direction : output;\n");
-        let table = |b: &stco_numerics::interp::Bilinear| -> String {
-            let mut s = String::new();
-            s.push_str(&format!(
-                "        index_1 (\"{}\");\n        index_2 (\"{}\");\n        values (",
-                b.x_axis()
-                    .iter()
-                    .map(|v| format!("{:.4}", v * 1e9))
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                b.y_axis()
-                    .iter()
-                    .map(|v| format!("{:.4}", v * 1e15))
-                    .collect::<Vec<_>>()
-                    .join(", "),
-            ));
-            let ny = b.y_axis().len();
-            let rows: Vec<String> = b
-                .values()
-                .chunks(ny)
-                .map(|row| {
-                    format!(
-                        "\"{}\"",
-                        row.iter()
-                            .map(|v| format!("{:.5}", v * 1e9))
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    )
-                })
-                .collect();
-            s.push_str(&rows.join(", \\\n                "));
-            s.push_str(");\n");
-            s
-        };
-        out.push_str("      timing () {\n        cell_rise (delay_template) {\n");
-        out.push_str(&table(cell.timing.delay_table()));
-        out.push_str("        }\n        rise_transition (delay_template) {\n");
-        out.push_str(&table(cell.timing.slew_table()));
-        out.push_str("        }\n      }\n    }\n");
-        if let Some(setup) = cell.min_setup {
-            out.push_str(&format!(
-                "    /* sequential constraints */\n    min_setup : {:.5};\n",
-                setup * 1e9
-            ));
-        }
-        if let Some(hold) = cell.min_hold {
-            out.push_str(&format!("    min_hold : {:.5};\n", hold * 1e9));
-        }
-        if let Some(pw) = cell.min_pulse_width {
-            out.push_str(&format!("    min_pulse_width : {:.5};\n", pw * 1e9));
-        }
-        out.push_str("  }\n\n");
-    }
-    out.push_str("}\n");
-    out
 }
 
 #[cfg(test)]
@@ -318,26 +227,6 @@ mod tests {
         // Extrapolated query still behaves.
         let d_big = inv.timing.delay(2.0e-9, 80.0e-15);
         assert!(d_big > d, "delay grows with load");
-    }
-
-    #[test]
-    fn liberty_writer_emits_expected_sections() {
-        let card = TechnologyCard::reference(Technology::Ltps);
-        let cells = [
-            CellType::by_kind(CellKind::Inv),
-            CellType::by_kind(CellKind::Dff),
-        ];
-        let lib = Library::characterize_subset(&card, &CharConfig::fast(), &cells).unwrap();
-        let text = write_liberty(&lib);
-        assert!(text.contains("library (fast_stco_ltps)"));
-        assert!(text.contains("cell (INV)"));
-        assert!(text.contains("cell (DFF)"));
-        assert!(text.contains("cell_rise (delay_template)"));
-        assert!(text.contains("min_setup"), "sequential constraints present");
-        // Balanced braces.
-        let opens = text.matches('{').count();
-        let closes = text.matches('}').count();
-        assert_eq!(opens, closes);
     }
 
     #[test]

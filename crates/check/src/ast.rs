@@ -48,13 +48,6 @@ pub struct FnItem {
     pub body: Option<(usize, usize)>,
 }
 
-impl FnItem {
-    /// Whether token index `i` falls inside this fn's body.
-    pub fn contains(&self, i: usize) -> bool {
-        self.body.is_some_and(|(a, b)| i >= a && i <= b)
-    }
-}
-
 /// A named, typed declaration: a struct field (tuple fields are named
 /// `"0"`, `"1"`, ...) or a `static`/`const` item. Only the identifier
 /// tokens of the type are kept — enough to answer "does this type
@@ -80,14 +73,6 @@ pub struct Ast {
 }
 
 impl Ast {
-    /// The innermost fn whose body contains token index `i`.
-    pub fn enclosing_fn(&self, i: usize) -> Option<&FnItem> {
-        self.fns
-            .iter()
-            .filter(|f| f.contains(i))
-            .min_by_key(|f| f.body.map_or(usize::MAX, |(a, b)| b - a))
-    }
-
     /// Looks up a typed declaration by name.
     pub fn decl(&self, name: &str) -> Option<&TypedDecl> {
         self.decls.iter().find(|d| d.name == name)
@@ -502,20 +487,6 @@ mod tests {
         assert!(!ast.fns[1].is_pub);
         assert!(ast.fns[0].body.is_some());
         assert!(ast.fns[3].body.is_none(), "trait decl has no body");
-    }
-
-    #[test]
-    fn enclosing_fn_prefers_innermost() {
-        let src = "pub fn outer() { fn inner() { let x = 1; } }";
-        let ast = ast_of(src);
-        let lexed = lex(src);
-        let owner = lexed
-            .tokens
-            .iter()
-            .position(|t| t.is_ident("x"))
-            .and_then(|i| ast.enclosing_fn(i))
-            .map(|f| f.name.as_str());
-        assert_eq!(owner, Some("inner"));
     }
 
     #[test]

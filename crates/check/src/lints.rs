@@ -168,7 +168,7 @@ impl Default for LintConfig {
                 ("tcad", &["solve_poisson", "simulate_point"]),
                 (
                     "spice",
-                    &["transient_with", "transient_resuming", "dc_operating_point"],
+                    &["transient", "transient_resuming", "dc_operating_point"],
                 ),
                 ("nn", &["fit"]),
                 (

@@ -13,7 +13,7 @@
 
 use stco_cells::charac::CharConfig;
 use stco_cells::encode::{encode_cell, EncodingContext};
-use stco_cells::liberty::{LibCell, Library, TimingTable};
+use stco_cells::liberty::{expand_axis, LibCell, Library, TimingTable};
 use stco_cells::library::{CellType, SeqBehavior};
 use stco_compact::extract::{extract_parameters, TransferCurve};
 use stco_compact::tech::{Corner, TechnologyCard};
@@ -477,8 +477,8 @@ pub fn predicted_library(
     config: &CharConfig,
 ) -> Library {
     let _span = stco_obs::span!("flow.predicted_library", cells = cells.len());
-    let slews = expand(&config.slews);
-    let loads = expand(&config.loads);
+    let slews = expand_axis(&config.slews);
+    let loads = expand_axis(&config.loads);
     let out = stco_par::par_map(ParConfig::current(), cells, |cell| {
         let built = cell.build(card, 1.0);
         let context = |slew: f64, load: f64| -> EncodingContext {
@@ -548,8 +548,8 @@ pub fn predicted_library(
 
 /// Checks that a characterization grid tabulates in both flows: each
 /// axis is non-empty and, after a single point is doubled into two by
-/// [`expand`], finite and strictly increasing — exactly what the NLDM
-/// tables' [`Bilinear::new`] accepts.
+/// [`expand_axis`], finite and strictly increasing — exactly what the
+/// NLDM tables' [`Bilinear::new`] accepts.
 fn check_grid(config: &CharConfig) -> Result<()> {
     let invalid = |context: String| StcoError::InvalidConfig { context };
     for (name, axis) in [("slew", &config.slews), ("load", &config.loads)] {
@@ -557,19 +557,11 @@ fn check_grid(config: &CharConfig) -> Result<()> {
             return Err(invalid(format!("characterization {name} axis is empty")));
         }
     }
-    let (slews, loads) = (expand(&config.slews), expand(&config.loads));
+    let (slews, loads) = (expand_axis(&config.slews), expand_axis(&config.loads));
     let values = vec![0.0; slews.len() * loads.len()];
     Bilinear::new(slews, loads, values)
         .map_err(|e| invalid(format!("characterization grid: {e}")))?;
     Ok(())
-}
-
-fn expand(axis: &[f64]) -> Vec<f64> {
-    if axis.len() >= 2 {
-        axis.to_vec()
-    } else {
-        vec![axis[0], axis[0] * 2.0]
-    }
 }
 
 #[cfg(test)]

@@ -22,7 +22,6 @@
 
 pub mod flow;
 pub mod optimize;
-pub mod report;
 pub mod rl;
 pub mod space;
 pub mod speedup;

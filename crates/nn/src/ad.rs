@@ -37,10 +37,6 @@ pub enum Op {
     Add(NodeId, NodeId),
     /// `a [n×d] + b [1×d]` broadcast over rows (bias add).
     AddRowBroadcast(NodeId, NodeId),
-    /// Elementwise difference.
-    Sub(NodeId, NodeId),
-    /// Elementwise (Hadamard) product of equal shapes.
-    Mul(NodeId, NodeId),
     /// `a [n×d] * b [n×1]` broadcast over columns (attention weighting).
     MulColBroadcast(NodeId, NodeId),
     /// Multiplication by a compile-time scalar.
@@ -111,12 +107,8 @@ pub enum Op {
         /// Dense operand.
         x: NodeId,
     },
-    /// Mean over all rows: `[n×d] → [1×d]`.
-    MeanRows(NodeId),
     /// Mean-squared-error loss between equal-shaped nodes → `[1×1]`.
     MseLoss(NodeId, NodeId),
-    /// Smooth-L1 (Huber) loss with threshold delta → `[1×1]`.
-    HuberLoss(NodeId, NodeId, f64),
 }
 
 struct Node {
@@ -324,26 +316,6 @@ impl Graph {
         let mut out = self.pool.lease_copy(av);
         kernels::add_row(&mut out, bv.row(0));
         self.push(out, Op::AddRowBroadcast(a, b))
-    }
-
-    /// Elementwise difference.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn sub(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.map_binary(a, b, |x, y| x - y);
-        self.push(v, Op::Sub(a, b))
-    }
-
-    /// Elementwise product.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn mul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.map_binary(a, b, |x, y| x * y);
-        self.push(v, Op::Mul(a, b))
     }
 
     /// Multiplies each row `i` of `a [n×d]` by scalar `b[i, 0]`.
@@ -561,31 +533,6 @@ impl Graph {
         self.push(out, Op::SpMm { a, a_t, x })
     }
 
-    /// Convenience wrapper: mean of rows grouped by a destination-index
-    /// list (message-passing mean aggregation). Equivalent to
-    /// [`Graph::segment_mean`] with `seg = dst`.
-    pub fn segment_mean_rows(
-        &mut self,
-        x: NodeId,
-        dst: &std::sync::Arc<Vec<usize>>,
-        num_nodes: usize,
-    ) -> NodeId {
-        self.segment_mean(x, std::sync::Arc::clone(dst), num_nodes)
-    }
-
-    /// Mean over all rows: `[n×d] → [1×d]`.
-    pub fn mean_rows(&mut self, x: NodeId) -> NodeId {
-        let xv = &self.nodes[x.0].value;
-        let n = xv.rows().max(1);
-        let mut out = self.pool.lease_zeroed(1, xv.cols());
-        for i in 0..xv.rows() {
-            for (o, v) in out.row_mut(0).iter_mut().zip(xv.row(i)) {
-                *o += v / n as f64;
-            }
-        }
-        self.push(out, Op::MeanRows(x))
-    }
-
     /// Mean-squared-error loss over all elements → scalar node `[1×1]`.
     ///
     /// # Panics
@@ -605,34 +552,6 @@ impl Graph {
         let mut out = self.pool.lease_zeroed(1, 1);
         out.set(0, 0, loss);
         self.push(out, Op::MseLoss(pred, target))
-    }
-
-    /// Huber (smooth-L1) loss with threshold `delta` → scalar node.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn huber_loss(&mut self, pred: NodeId, target: NodeId, delta: f64) -> NodeId {
-        let (pv, tv) = (self.value(pred), self.value(target));
-        assert_eq!((pv.rows(), pv.cols()), (tv.rows(), tv.cols()));
-        let n = (pv.rows() * pv.cols()) as f64;
-        let loss = pv
-            .as_slice()
-            .iter()
-            .zip(tv.as_slice())
-            .map(|(p, t)| {
-                let e = (p - t).abs();
-                if e <= delta {
-                    0.5 * e * e
-                } else {
-                    delta * (e - 0.5 * delta)
-                }
-            })
-            .sum::<f64>()
-            / n;
-        let mut out = self.pool.lease_zeroed(1, 1);
-        out.set(0, 0, loss);
-        self.push(out, Op::HuberLoss(pred, target, delta))
     }
 
     /// Reverse pass from `loss` (which must be `1×1`), accumulating
@@ -694,20 +613,6 @@ impl Graph {
                     }
                     accumulate(pool, &mut grads, a.0, g);
                     accumulate(pool, &mut grads, b.0, db);
-                }
-                Op::Sub(a, b) => {
-                    let mut neg = pool.lease_copy(&g);
-                    neg.scale(-1.0);
-                    accumulate(pool, &mut grads, a.0, g);
-                    accumulate(pool, &mut grads, b.0, neg);
-                }
-                Op::Mul(a, b) => {
-                    let (av, bv) = (&nodes[a.0].value, &nodes[b.0].value);
-                    let da = hadamard(pool, &g, bv);
-                    let db = hadamard(pool, &g, av);
-                    accumulate(pool, &mut grads, a.0, da);
-                    accumulate(pool, &mut grads, b.0, db);
-                    pool.recycle(g);
                 }
                 Op::MulColBroadcast(a, b) => {
                     let (av, bv) = (&nodes[a.0].value, &nodes[b.0].value);
@@ -893,18 +798,6 @@ impl Graph {
                     accumulate(pool, &mut grads, x.0, dx);
                     pool.recycle(g);
                 }
-                Op::MeanRows(x) => {
-                    let xv = &nodes[x.0].value;
-                    let n = xv.rows().max(1) as f64;
-                    let mut dx = pool.lease_zeroed(xv.rows(), xv.cols());
-                    for r in 0..xv.rows() {
-                        for (o, v) in dx.row_mut(r).iter_mut().zip(g.row(0)) {
-                            *o = v / n;
-                        }
-                    }
-                    accumulate(pool, &mut grads, x.0, dx);
-                    pool.recycle(g);
-                }
                 Op::MseLoss(pred, target) => {
                     let (pv, tv) = (&nodes[pred.0].value, &nodes[target.0].value);
                     let n = (pv.rows() * pv.cols()) as f64;
@@ -917,31 +810,6 @@ impl Graph {
                         .zip(tv.as_slice())
                     {
                         *o = scale * (p - t);
-                    }
-                    let mut dt = pool.lease_copy(&dp);
-                    dt.scale(-1.0);
-                    accumulate(pool, &mut grads, pred.0, dp);
-                    accumulate(pool, &mut grads, target.0, dt);
-                    pool.recycle(g);
-                }
-                Op::HuberLoss(pred, target, delta) => {
-                    let (pv, tv) = (&nodes[pred.0].value, &nodes[target.0].value);
-                    let n = (pv.rows() * pv.cols()) as f64;
-                    let scale = g.get(0, 0) / n;
-                    let mut dp = pool.lease_zeroed(pv.rows(), pv.cols());
-                    for ((o, p), t) in dp
-                        .as_mut_slice()
-                        .iter_mut()
-                        .zip(pv.as_slice())
-                        .zip(tv.as_slice())
-                    {
-                        let e = p - t;
-                        *o = scale
-                            * if e.abs() <= *delta {
-                                e
-                            } else {
-                                delta * e.signum()
-                            };
                     }
                     let mut dt = pool.lease_copy(&dp);
                     dt.scale(-1.0);
@@ -1085,19 +953,6 @@ fn accumulate(pool: &mut BufferPool, grads: &mut [Option<Matrix>], idx: usize, g
         }
         slot => *slot = Some(g),
     }
-}
-
-fn hadamard(pool: &mut BufferPool, a: &Matrix, b: &Matrix) -> Matrix {
-    let mut out = pool.lease_zeroed(a.rows(), a.cols());
-    for ((o, &x), &y) in out
-        .as_mut_slice()
-        .iter_mut()
-        .zip(a.as_slice())
-        .zip(b.as_slice())
-    {
-        *o = x * y;
-    }
-    out
 }
 
 fn map_grad(pool: &mut BufferPool, g: &Matrix, basis: &Matrix, f: impl Fn(f64) -> f64) -> Matrix {
@@ -1336,28 +1191,9 @@ mod tests {
             let b = g.param(p, w2);
             let ha = g.matmul(xi, a);
             let hb = g.matmul(xi, b);
-            let prod = g.mul(ha, hb);
-            let diff = g.sub(ha, hb);
-            let scaled = g.scale(diff, 0.7);
-            let cat = g.concat_cols(&[prod, scaled]);
+            let scaled = g.scale(hb, 0.7);
+            let cat = g.concat_cols(&[ha, scaled]);
             g.mse_loss(cat, ti)
-        });
-    }
-
-    #[test]
-    fn grad_huber_and_mean_rows() {
-        let mut rng = Xorshift::new(17);
-        let mut params = Params::new(18);
-        let w = params.glorot(2, 3);
-        let x = random_matrix(&mut rng, 6, 2);
-        let t = random_matrix(&mut rng, 1, 3);
-        grad_check(&mut params, &[w], |g, p| {
-            let xi = g.input(x.clone());
-            let ti = g.input(t.clone());
-            let wi = g.param(p, w);
-            let h = g.matmul(xi, wi);
-            let pooled = g.mean_rows(h);
-            g.huber_loss(pooled, ti, 0.4)
         });
     }
 
@@ -1492,7 +1328,7 @@ mod tests {
         let t = g.input(Matrix::from_vec(1, 1, vec![0.0]));
         let wi = g.param(&params, w);
         let h1 = g.matmul(x, wi);
-        let h2 = g.mul(h1, wi); // w² — w used twice
+        let h2 = g.matmul(h1, wi); // w² — w used twice
         let loss = g.mse_loss(h2, t);
         params.zero_grads();
         g.backward(loss, &mut params);

@@ -182,17 +182,6 @@ impl GcnLayer {
         }
     }
 
-    /// The underlying linear transform (weights exposed for the f32
-    /// fast-inference path, which replays the layer outside the tape).
-    pub fn linear(&self) -> &Linear {
-        &self.linear
-    }
-
-    /// The layer's activation.
-    pub fn activation(&self) -> Activation {
-        self.activation
-    }
-
     /// Records one propagation step. `adj` must be the normalized
     /// adjacency from [`GraphData::normalized_adjacency`].
     pub fn forward(
@@ -516,46 +505,6 @@ impl RelGatStack {
     }
 }
 
-/// A GraphSAGE-style mean-aggregation layer: `h'_i = σ(W_self·h_i +
-/// W_nb·mean_{j→i} h_j)`. No attention, no edge features — the
-/// plain-aggregation baseline the RelGAT ablation compares against.
-#[derive(Debug, Clone)]
-pub struct SageLayer {
-    w_self: Linear,
-    w_neighbor: Linear,
-    activation: Activation,
-}
-
-impl SageLayer {
-    /// Allocates a layer mapping `in_dim → out_dim`.
-    pub fn new(params: &mut Params, in_dim: usize, out_dim: usize, activation: Activation) -> Self {
-        SageLayer {
-            w_self: Linear::new(params, in_dim, out_dim),
-            w_neighbor: Linear::new(params, in_dim, out_dim),
-            activation,
-        }
-    }
-
-    /// Records one aggregation step over the given edge lists.
-    pub fn forward(
-        &self,
-        g: &mut Graph,
-        params: &Params,
-        x: NodeId,
-        src: &Arc<Vec<usize>>,
-        dst: &Arc<Vec<usize>>,
-        num_nodes: usize,
-    ) -> NodeId {
-        let self_term = self.w_self.forward(g, params, x);
-        let gathered = g.gather_rows(x, Arc::clone(src));
-        // Mean over incoming edges per destination node.
-        let pooled = g.segment_mean_rows(gathered, dst, num_nodes);
-        let nb_term = self.w_neighbor.forward(g, params, pooled);
-        let sum = g.add(self_term, nb_term);
-        self.activation.apply(g, sum)
-    }
-}
-
 /// Splits an edge list into the `(src, dst)` index vectors the attention
 /// layers consume.
 pub fn edge_index_lists(edges: &[(usize, usize)]) -> (Arc<Vec<usize>>, Arc<Vec<usize>>) {
@@ -700,28 +649,6 @@ mod tests {
             adam.step(&mut params);
         }
         assert!(last < 0.02, "RelGAT failed to fit neighbor mean: {last}");
-    }
-
-    #[test]
-    fn sage_layer_aggregates_neighbor_means() {
-        let gd = ring_graph(5, 3, 1, 21);
-        let (src, dst) = edge_index_lists(&gd.edges);
-        let mut params = Params::new(22);
-        let layer = SageLayer::new(&mut params, 3, 4, Activation::Identity);
-        let mut g = Graph::new();
-        let x = g.input(gd.node_features.clone());
-        let y = layer.forward(&mut g, &params, x, &src, &dst, 5);
-        assert_eq!((g.value(y).rows(), g.value(y).cols()), (5, 4));
-        // Identity activation + zero bias: output is linear in the input,
-        // so doubling the features doubles the output.
-        let mut doubled = gd.node_features.clone();
-        doubled.scale(2.0);
-        let mut g2 = Graph::new();
-        let x2 = g2.input(doubled);
-        let y2 = layer.forward(&mut g2, &params, x2, &src, &dst, 5);
-        for (a, b) in g.value(y).as_slice().iter().zip(g2.value(y2).as_slice()) {
-            assert!((2.0 * a - b).abs() < 1e-10);
-        }
     }
 
     #[test]

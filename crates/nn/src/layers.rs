@@ -208,16 +208,6 @@ impl Mlp {
         self.layers.len()
     }
 
-    /// The linear layers, in forward order.
-    pub fn layers(&self) -> &[Linear] {
-        &self.layers
-    }
-
-    /// The shared hidden activation.
-    pub fn activation(&self) -> Activation {
-        self.activation
-    }
-
     /// Records the full forward pass; the final layer is linear.
     pub fn forward(&self, g: &mut Graph, params: &Params, mut x: NodeId) -> NodeId {
         for (i, layer) in self.layers.iter().enumerate() {

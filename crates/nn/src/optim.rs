@@ -1,5 +1,4 @@
-//! Optimizers: [`Adam`] (used by every surrogate pipeline) and plain
-//! [`Sgd`] (kept for ablations).
+//! The optimizer every surrogate pipeline uses: [`Adam`].
 
 use crate::{param_ids, Params};
 use stco_numerics::Matrix;
@@ -111,63 +110,13 @@ impl Adam {
     }
 }
 
-/// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub learning_rate: f64,
-    /// Momentum coefficient (0 disables).
-    pub momentum: f64,
-    velocity: Vec<Matrix>,
-}
-
-impl Sgd {
-    /// SGD with the given learning rate and no momentum.
-    pub fn with_learning_rate(learning_rate: f64) -> Self {
-        Sgd {
-            learning_rate,
-            momentum: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Applies one update from the accumulated gradients.
-    pub fn step(&mut self, params: &mut Params) {
-        while self.velocity.len() < params.len() {
-            let id = param_ids(params)
-                .nth(self.velocity.len())
-                .expect("in range");
-            let m = params.value(id);
-            self.velocity.push(Matrix::zeros(m.rows(), m.cols()));
-        }
-        for (idx, id) in param_ids(params)
-            .collect::<Vec<_>>()
-            .into_iter()
-            .enumerate()
-        {
-            let grad = params.grad(id).clone();
-            stco_numerics::debug_assert_all_finite!("sgd.grad", grad.as_slice());
-            let vel = &mut self.velocity[idx];
-            for (v, g) in vel.as_mut_slice().iter_mut().zip(grad.as_slice()) {
-                *v = self.momentum * *v + g;
-            }
-            let lr = self.learning_rate;
-            let v_s: Vec<f64> = vel.as_slice().to_vec();
-            let value = params.value_mut(id);
-            for (w, v) in value.as_mut_slice().iter_mut().zip(&v_s) {
-                *w -= lr * v;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ad::Graph;
     use stco_numerics::Matrix;
 
-    /// Minimize (w - 3)² with each optimizer; both must land near 3.
+    /// Minimize (w - 3)² with the given optimizer step.
     fn run_quadratic(step: &mut dyn FnMut(&mut Params), params: &mut Params, w: crate::ParamId) {
         for _ in 0..500 {
             let mut g = Graph::new();
@@ -188,28 +137,6 @@ mod tests {
         run_quadratic(&mut |p| adam.step(p), &mut params, w);
         assert!((params.value(w).get(0, 0) - 3.0).abs() < 1e-3);
         assert_eq!(adam.steps(), 500);
-    }
-
-    #[test]
-    fn sgd_minimizes_quadratic() {
-        let mut params = Params::new(2);
-        let w = params.zeros(1, 1);
-        let mut sgd = Sgd::with_learning_rate(0.3);
-        run_quadratic(&mut |p| sgd.step(p), &mut params, w);
-        assert!((params.value(w).get(0, 0) - 3.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn sgd_momentum_still_converges() {
-        let mut params = Params::new(3);
-        let w = params.zeros(1, 1);
-        let mut sgd = Sgd {
-            learning_rate: 0.05,
-            momentum: 0.9,
-            velocity: Vec::new(),
-        };
-        run_quadratic(&mut |p| sgd.step(p), &mut params, w);
-        assert!((params.value(w).get(0, 0) - 3.0).abs() < 1e-2);
     }
 
     #[test]

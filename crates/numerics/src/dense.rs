@@ -429,11 +429,6 @@ impl Matrix {
         out
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// In-place scaling by a scalar.
     pub fn scale(&mut self, s: f64) {
         for v in &mut self.data {

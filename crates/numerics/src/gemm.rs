@@ -1,10 +1,10 @@
 //! Cache-blocked, register-tiled GEMM microkernels.
 //!
-//! One generic BLIS-style implementation (packed A/B panels, an
-//! `MR × NR` register tile, MC/KC/NC cache blocking) instantiated for
-//! both `f64` and `f32`. The public drivers are *bitwise-identical* to
-//! the naive loops in [`crate::dense`] — that is the load-bearing
-//! contract, pinned by proptests against the retained naive oracles:
+//! A BLIS-style `f64` implementation (packed A/B panels, an `MR × NR`
+//! register tile, MC/KC/NC cache blocking). The public drivers are
+//! *bitwise-identical* to the naive loops in [`crate::dense`] — that is
+//! the load-bearing contract, pinned by proptests against the retained
+//! naive oracles:
 //!
 //! * [`gemm_nn_blocked`] / [`gemm_tn_blocked`] replay the naive kernels'
 //!   direct accumulation into `out`: for every output element the
@@ -29,7 +29,6 @@
 //! never loaded from nor stored to `out`.
 
 use std::cell::RefCell;
-use std::ops::{Add, AddAssign, Mul};
 
 /// Register tile height (rows of `out` held in registers).
 pub const MR: usize = 4;
@@ -53,16 +52,8 @@ pub fn use_blocked(m: usize, n: usize, k: usize) -> bool {
     m.saturating_mul(n).saturating_mul(k) >= BLOCK_MIN_FLOPS
 }
 
-/// Scalar the blocked kernels are generic over. `Default` must be the
-/// additive identity (0.0 for the float instantiations).
-pub trait GemmScalar: Copy + Default + AddAssign + Add<Output = Self> + Mul<Output = Self> {}
-
-impl GemmScalar for f64 {}
-impl GemmScalar for f32 {}
-
 thread_local! {
     static SCRATCH_F64: RefCell<(Vec<f64>, Vec<f64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
-    static SCRATCH_F32: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
 /// Runs `f` with the thread-local f64 pack buffers (A panel, B panel).
@@ -78,17 +69,6 @@ pub fn with_f64_scratch<R>(f: impl FnOnce(&mut Vec<f64>, &mut Vec<f64>) -> R) ->
     })
 }
 
-/// f32 twin of [`with_f64_scratch`].
-pub fn with_f32_scratch<R>(f: impl FnOnce(&mut Vec<f32>, &mut Vec<f32>) -> R) -> R {
-    SCRATCH_F32.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut guard) => {
-            let (apack, bpack) = &mut *guard;
-            f(apack, bpack)
-        }
-        Err(_) => f(&mut Vec::new(), &mut Vec::new()),
-    })
-}
-
 /// Packs an `mc × kc` logical block of A into `MR`-row strips, k-major
 /// within each strip (`out[strip][kk*MR + r]`), zero-padding the last
 /// strip. `trans` reads the block from a transposed source layout
@@ -96,19 +76,19 @@ pub fn with_f32_scratch<R>(f: impl FnOnce(&mut Vec<f32>, &mut Vec<f32>) -> R) ->
 /// `self` without materializing `selfᵀ`.
 // stco-hot
 #[allow(clippy::too_many_arguments)]
-fn pack_a<T: GemmScalar>(
-    src: &[T],
+fn pack_a(
+    src: &[f64],
     ld: usize,
     trans: bool,
     row0: usize,
     k0: usize,
     mc: usize,
     kc: usize,
-    out: &mut Vec<T>,
+    out: &mut Vec<f64>,
 ) {
     let strips = mc.div_ceil(MR);
     out.clear();
-    out.resize(strips * MR * kc, T::default());
+    out.resize(strips * MR * kc, 0.0);
     for s in 0..strips {
         let base = s * MR * kc;
         let rmax = (mc - s * MR).min(MR);
@@ -134,19 +114,19 @@ fn pack_a<T: GemmScalar>(
 /// (`src[(col0+c)*ld + k0+kk]`), which is how the NT driver views `rhs`.
 // stco-hot
 #[allow(clippy::too_many_arguments)]
-fn pack_b<T: GemmScalar>(
-    src: &[T],
+fn pack_b(
+    src: &[f64],
     ld: usize,
     trans: bool,
     k0: usize,
     col0: usize,
     kc: usize,
     nc: usize,
-    out: &mut Vec<T>,
+    out: &mut Vec<f64>,
 ) {
     let strips = nc.div_ceil(NR);
     out.clear();
-    out.resize(strips * NR * kc, T::default());
+    out.resize(strips * NR * kc, 0.0);
     for t in 0..strips {
         let base = t * NR * kc;
         let cmax = (nc - t * NR).min(NR);
@@ -169,12 +149,12 @@ fn pack_b<T: GemmScalar>(
 /// The register-tile inner loop: `c[m][n] += a[m] * b[n]` for each `kk`,
 /// ascending. Strict multiply-then-add per element — the exact rounded
 /// op sequence the naive kernels perform. The four accumulator rows are
-/// separate flat arrays (not `[[T; NR]; MR]`) so scalar replacement
+/// separate flat arrays (not `[[f64; NR]; MR]`) so scalar replacement
 /// keeps them in registers, and `chunks_exact` hands the autovectorizer
 /// bound-check-free `MR`/`NR`-wide strips.
 // stco-hot
 #[inline(always)]
-fn micro_acc<T: GemmScalar>(kc: usize, a: &[T], b: &[T], c: &mut [[T; NR]; MR]) {
+fn micro_acc(kc: usize, a: &[f64], b: &[f64], c: &mut [[f64; NR]; MR]) {
     let [c0, c1, c2, c3] = c;
     for (av, bv) in a.chunks_exact(MR).zip(b.chunks_exact(NR)).take(kc) {
         let (a0, a1, a2, a3) = (av[0], av[1], av[2], av[3]);
@@ -196,11 +176,11 @@ fn micro_acc<T: GemmScalar>(kc: usize, a: &[T], b: &[T], c: &mut [[T; NR]; MR]) 
 #[allow(clippy::too_many_arguments)]
 #[inline]
 // stco-hot
-fn micro_tile_load_store<T: GemmScalar>(
+fn micro_tile_load_store(
     kc: usize,
-    a: &[T],
-    b: &[T],
-    out: &mut [T],
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
     ldo: usize,
     row0: usize,
     col0: usize,
@@ -208,7 +188,7 @@ fn micro_tile_load_store<T: GemmScalar>(
     nmax: usize,
 ) {
     if mmax == MR && nmax == NR {
-        let mut c = [[T::default(); NR]; MR];
+        let mut c = [[0.0; NR]; MR];
         for (m, crow) in c.iter_mut().enumerate() {
             let orow = &out[(row0 + m) * ldo + col0..(row0 + m) * ldo + col0 + NR];
             crow.copy_from_slice(orow);
@@ -227,18 +207,18 @@ fn micro_tile_load_store<T: GemmScalar>(
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
 // stco-hot
-fn micro_tile_load_store_partial<T: GemmScalar>(
+fn micro_tile_load_store_partial(
     kc: usize,
-    a: &[T],
-    b: &[T],
-    out: &mut [T],
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
     ldo: usize,
     row0: usize,
     col0: usize,
     mmax: usize,
     nmax: usize,
 ) {
-    let mut c = [[T::default(); NR]; MR];
+    let mut c = [[0.0; NR]; MR];
     for (m, crow) in c.iter_mut().enumerate().take(mmax) {
         let orow = &out[(row0 + m) * ldo + col0..(row0 + m) * ldo + col0 + nmax];
         for (cv, o) in crow.iter_mut().zip(orow.iter()) {
@@ -262,11 +242,11 @@ fn micro_tile_load_store_partial<T: GemmScalar>(
 #[allow(clippy::too_many_arguments)]
 #[inline]
 // stco-hot
-fn micro_tile_fresh_add<T: GemmScalar>(
+fn micro_tile_fresh_add(
     k: usize,
-    a: &[T],
-    b: &[T],
-    out: &mut [T],
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
     ldo: usize,
     row0: usize,
     col0: usize,
@@ -274,7 +254,7 @@ fn micro_tile_fresh_add<T: GemmScalar>(
     nmax: usize,
 ) {
     if mmax == MR && nmax == NR {
-        let mut c = [[T::default(); NR]; MR];
+        let mut c = [[0.0; NR]; MR];
         micro_acc(k, a, b, &mut c);
         for (m, crow) in c.iter().enumerate() {
             let orow = &mut out[(row0 + m) * ldo + col0..(row0 + m) * ldo + col0 + NR];
@@ -291,18 +271,18 @@ fn micro_tile_fresh_add<T: GemmScalar>(
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
 // stco-hot
-fn micro_tile_fresh_add_partial<T: GemmScalar>(
+fn micro_tile_fresh_add_partial(
     k: usize,
-    a: &[T],
-    b: &[T],
-    out: &mut [T],
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
     ldo: usize,
     row0: usize,
     col0: usize,
     mmax: usize,
     nmax: usize,
 ) {
-    let mut c = [[T::default(); NR]; MR];
+    let mut c = [[0.0; NR]; MR];
     micro_acc(k, a, b, &mut c);
     for (m, crow) in c.iter().enumerate().take(mmax) {
         let orow = &mut out[(row0 + m) * ldo + col0..(row0 + m) * ldo + col0 + nmax];
@@ -318,17 +298,17 @@ fn micro_tile_fresh_add_partial<T: GemmScalar>(
 /// its panels in ascending-`k` order — the bitwise contract.
 // stco-hot
 #[allow(clippy::too_many_arguments)]
-fn gemm_direct_blocked<T: GemmScalar>(
+fn gemm_direct_blocked(
     m: usize,
     n: usize,
     k: usize,
-    a: &[T],
+    a: &[f64],
     lda: usize,
     atrans: bool,
-    b: &[T],
-    out: &mut [T],
-    apack: &mut Vec<T>,
-    bpack: &mut Vec<T>,
+    b: &[f64],
+    out: &mut [f64],
+    apack: &mut Vec<f64>,
+    bpack: &mut Vec<f64>,
 ) {
     debug_assert_eq!(out.len(), m * n);
     for jc in (0..n).step_by(NC) {
@@ -366,15 +346,15 @@ fn gemm_direct_blocked<T: GemmScalar>(
 /// Blocked `out += A·B` for row-major `A: m×k`, `B: k×n`, `out: m×n`.
 /// Bitwise-identical to the naive ikj kernel.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_nn_blocked<T: GemmScalar>(
+pub fn gemm_nn_blocked(
     m: usize,
     n: usize,
     k: usize,
-    a: &[T],
-    b: &[T],
-    out: &mut [T],
-    apack: &mut Vec<T>,
-    bpack: &mut Vec<T>,
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    apack: &mut Vec<f64>,
+    bpack: &mut Vec<f64>,
 ) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
@@ -384,15 +364,15 @@ pub fn gemm_nn_blocked<T: GemmScalar>(
 /// Blocked `out += Aᵀ·B` for row-major `A: k×m` (passed untransposed),
 /// `B: k×n`, `out: m×n`. Bitwise-identical to the naive kij kernel.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_tn_blocked<T: GemmScalar>(
+pub fn gemm_tn_blocked(
     m: usize,
     n: usize,
     k: usize,
-    a: &[T],
-    b: &[T],
-    out: &mut [T],
-    apack: &mut Vec<T>,
-    bpack: &mut Vec<T>,
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    apack: &mut Vec<f64>,
+    bpack: &mut Vec<f64>,
 ) {
     debug_assert_eq!(a.len(), k * m);
     debug_assert_eq!(b.len(), k * n);
@@ -406,15 +386,15 @@ pub fn gemm_tn_blocked<T: GemmScalar>(
 /// `(MC + NC) × k` scalars, fine for the `k ≲ 10³` this workspace sees.
 // stco-hot
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_nt_blocked<T: GemmScalar>(
+pub fn gemm_nt_blocked(
     m: usize,
     n: usize,
     k: usize,
-    a: &[T],
-    b: &[T],
-    out: &mut [T],
-    apack: &mut Vec<T>,
-    bpack: &mut Vec<T>,
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    apack: &mut Vec<f64>,
+    bpack: &mut Vec<f64>,
 ) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
@@ -509,15 +489,5 @@ mod tests {
     fn dispatch_threshold_splits_mna_from_gat() {
         assert!(!use_blocked(24, 24, 24));
         assert!(use_blocked(64, 32, 32));
-    }
-
-    #[test]
-    fn f32_instantiation_multiplies() {
-        let a: Vec<f32> = vec![1.0, 2.0, 3.0, 4.0];
-        let b: Vec<f32> = vec![5.0, 6.0, 7.0, 8.0];
-        let mut out = vec![0.0_f32; 4];
-        let (mut ap, mut bp) = (Vec::new(), Vec::new());
-        gemm_nn_blocked(2, 2, 2, &a, &b, &mut out, &mut ap, &mut bp);
-        assert_eq!(out, vec![19.0, 22.0, 43.0, 50.0]);
     }
 }

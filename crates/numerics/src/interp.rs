@@ -149,21 +149,6 @@ impl Bilinear {
         Ok(Bilinear { xs, ys, values })
     }
 
-    /// The x axis.
-    pub fn x_axis(&self) -> &[f64] {
-        &self.xs
-    }
-
-    /// The y axis.
-    pub fn y_axis(&self) -> &[f64] {
-        &self.ys
-    }
-
-    /// Row-major table values.
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
     /// Bilinear interpolation (and extrapolation outside the grid).
     pub fn eval(&self, x: f64, y: f64) -> f64 {
         let i = segment_index(&self.xs, x);

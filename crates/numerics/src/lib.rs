@@ -20,7 +20,6 @@
 //! ```
 
 pub mod dense;
-pub mod dense32;
 pub mod gemm;
 pub mod guard;
 pub mod interp;
@@ -31,7 +30,6 @@ pub mod sparse;
 pub mod stats;
 
 pub use dense::Matrix;
-pub use dense32::MatrixF32;
 pub use sparse::CsrMatrix;
 
 /// Workspace-wide error type for numerical routines.

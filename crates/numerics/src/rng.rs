@@ -80,11 +80,6 @@ impl Xorshift {
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 
-    /// Normal sample with the given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.normal()
-    }
-
     /// Bernoulli sample with probability `p` of `true`.
     pub fn chance(&mut self, p: f64) -> bool {
         self.uniform() < p
@@ -96,12 +91,6 @@ impl Xorshift {
             let j = self.gen_range(i + 1);
             items.swap(i, j);
         }
-    }
-
-    /// Derives an independent child generator; used to give each dataset
-    /// item its own stream so parallel generation is order-independent.
-    pub fn fork(&mut self, tag: u64) -> Xorshift {
-        Xorshift::new(self.next_u64() ^ tag.wrapping_mul(0xA076_1D64_78BD_642F))
     }
 }
 
@@ -170,13 +159,5 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..32).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn forked_streams_diverge() {
-        let mut parent = Xorshift::new(99);
-        let mut c1 = parent.fork(1);
-        let mut c2 = parent.fork(2);
-        assert_ne!(c1.next_u64(), c2.next_u64());
     }
 }

@@ -3,9 +3,7 @@
 //!
 //! The nonlinear Poisson Newton loop produces nonsymmetric Jacobians (the
 //! Boltzmann carrier terms make the diagonal state-dependent), so the
-//! workhorse is Jacobi-preconditioned [`bicgstab`]. [`conjugate_gradient`]
-//! is provided for the symmetric positive-definite systems that arise in
-//! the placement solver and in tests.
+//! solver is Jacobi-preconditioned [`bicgstab`].
 
 use crate::dense::{axpy, dot, norm2};
 use crate::sparse::CsrMatrix;
@@ -40,80 +38,6 @@ pub struct IterSolution {
     pub residual: f64,
 }
 
-/// Conjugate gradient for symmetric positive-definite systems, with Jacobi
-/// (diagonal) preconditioning.
-///
-/// # Errors
-///
-/// Returns [`NumericsError::ShapeMismatch`] for non-square systems or
-/// mismatched right-hand sides, and [`NumericsError::NoConvergence`] if the
-/// tolerance is not met within `opts.max_iter` iterations.
-///
-/// # Example
-///
-/// ```
-/// use stco_numerics::sparse::CsrMatrix;
-/// use stco_numerics::solve::{conjugate_gradient, IterOptions};
-///
-/// let a = CsrMatrix::from_triplets(2, 2, &[(0, 0, 4.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 3.0)]);
-/// let sol = conjugate_gradient(&a, &[1.0, 2.0], &IterOptions::default())?;
-/// assert!(sol.residual < 1e-8);
-/// # Ok::<(), stco_numerics::NumericsError>(())
-/// ```
-pub fn conjugate_gradient(a: &CsrMatrix, b: &[f64], opts: &IterOptions) -> Result<IterSolution> {
-    check_system(a, b)?;
-    let n = b.len();
-    let inv_diag = jacobi_inverse(a);
-    let mut x = vec![0.0; n];
-    let mut r = b.to_vec();
-    let bnorm = norm2(b).max(1e-300);
-    if norm2(&r) / bnorm <= opts.tol {
-        return Ok(IterSolution {
-            x,
-            iterations: 0,
-            residual: norm2(&r),
-        });
-    }
-    let mut z: Vec<f64> = r.iter().zip(&inv_diag).map(|(ri, d)| ri * d).collect();
-    let mut p = z.clone();
-    let mut rz = dot(&r, &z);
-    let mut ap = vec![0.0; n];
-    for it in 1..=opts.max_iter {
-        a.matvec_into(&p, &mut ap);
-        let denom = dot(&p, &ap);
-        if denom.abs() < 1e-300 {
-            return Err(NumericsError::NoConvergence {
-                iterations: it,
-                residual: norm2(&r),
-            });
-        }
-        let alpha = rz / denom;
-        axpy(alpha, &p, &mut x);
-        axpy(-alpha, &ap, &mut r);
-        let rnorm = norm2(&r);
-        if rnorm / bnorm <= opts.tol {
-            return Ok(IterSolution {
-                x,
-                iterations: it,
-                residual: rnorm,
-            });
-        }
-        for (zi, (ri, d)) in z.iter_mut().zip(r.iter().zip(&inv_diag)) {
-            *zi = ri * d;
-        }
-        let rz_new = dot(&r, &z);
-        let beta = rz_new / rz;
-        rz = rz_new;
-        for (pi, zi) in p.iter_mut().zip(&z) {
-            *pi = zi + beta * *pi;
-        }
-    }
-    Err(NumericsError::NoConvergence {
-        iterations: opts.max_iter,
-        residual: norm2(&r),
-    })
-}
-
 /// BiCGSTAB for general nonsymmetric systems, with Jacobi preconditioning.
 ///
 /// This is the solver the TCAD Newton loop uses for its Poisson Jacobians.
@@ -123,6 +47,18 @@ pub fn conjugate_gradient(a: &CsrMatrix, b: &[f64], opts: &IterOptions) -> Resul
 /// Returns [`NumericsError::ShapeMismatch`] for malformed systems and
 /// [`NumericsError::NoConvergence`] if the residual target is not met
 /// (including on breakdown of the recurrence).
+///
+/// # Example
+///
+/// ```
+/// use stco_numerics::sparse::CsrMatrix;
+/// use stco_numerics::solve::{bicgstab, IterOptions};
+///
+/// let a = CsrMatrix::from_triplets(2, 2, &[(0, 0, 4.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 3.0)]);
+/// let sol = bicgstab(&a, &[1.0, 2.0], &IterOptions::default())?;
+/// assert!(sol.residual < 1e-8);
+/// # Ok::<(), stco_numerics::NumericsError>(())
+/// ```
 pub fn bicgstab(a: &CsrMatrix, b: &[f64], opts: &IterOptions) -> Result<IterSolution> {
     check_system(a, b)?;
     let n = b.len();
@@ -266,14 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn cg_solves_laplacian() {
-        let a = laplacian(50);
-        let b: Vec<f64> = (0..50).map(|i| (i as f64 * 0.1).sin()).collect();
-        let sol = conjugate_gradient(&a, &b, &IterOptions::default()).unwrap();
-        assert!(residual(&a, &sol.x, &b) < 1e-7, "residual {}", sol.residual);
-    }
-
-    #[test]
     fn bicgstab_solves_nonsymmetric() {
         // Convection-diffusion style: dominant diagonal plus skewed off-diagonals.
         let n = 60;
@@ -319,7 +247,7 @@ mod tests {
     #[test]
     fn zero_rhs_converges_immediately() {
         let a = laplacian(10);
-        let sol = conjugate_gradient(&a, &[0.0; 10], &IterOptions::default()).unwrap();
+        let sol = bicgstab(&a, &[0.0; 10], &IterOptions::default()).unwrap();
         assert_eq!(sol.iterations, 0);
         assert!(sol.x.iter().all(|&v| v == 0.0));
     }
@@ -333,7 +261,7 @@ mod tests {
             max_iter: 2,
         };
         assert!(matches!(
-            conjugate_gradient(&a, &b, &opts),
+            bicgstab(&a, &b, &opts),
             Err(NumericsError::NoConvergence { .. })
         ));
     }

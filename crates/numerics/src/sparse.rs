@@ -226,26 +226,6 @@ impl CsrMatrix {
         CsrMatrix::from_triplets(self.cols, self.rows, &triplets)
     }
 
-    /// Checks strict diagonal dominance (a sufficient condition for the
-    /// Jacobi-preconditioned solvers to behave).
-    pub fn is_diagonally_dominant(&self) -> bool {
-        for i in 0..self.rows {
-            let mut diag = 0.0;
-            let mut off = 0.0;
-            for (j, v) in self.row_entries(i) {
-                if j == i {
-                    diag = v.abs();
-                } else {
-                    off += v.abs();
-                }
-            }
-            if diag < off {
-                return false;
-            }
-        }
-        true
-    }
-
     /// Validates internal invariants; used by property tests.
     ///
     /// # Errors
@@ -338,14 +318,5 @@ mod tests {
     fn transpose_is_involutive() {
         let csr = CsrMatrix::from_triplets(2, 3, &[(0, 1, 1.0), (1, 0, 2.0), (1, 2, 3.0)]);
         assert_eq!(csr.transpose().transpose(), csr);
-    }
-
-    #[test]
-    fn diagonal_dominance_check() {
-        let dominant =
-            CsrMatrix::from_triplets(2, 2, &[(0, 0, 3.0), (0, 1, 1.0), (1, 1, 2.0), (1, 0, -1.0)]);
-        assert!(dominant.is_diagonally_dominant());
-        let not = CsrMatrix::from_triplets(2, 2, &[(0, 0, 0.5), (0, 1, 1.0), (1, 1, 2.0)]);
-        assert!(!not.is_diagonally_dominant());
     }
 }

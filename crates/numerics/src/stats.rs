@@ -28,21 +28,6 @@ pub fn rmse(pred: &[f64], target: &[f64]) -> Result<f64> {
     Ok(mse(pred, target)?.sqrt())
 }
 
-/// Mean absolute error.
-///
-/// # Errors
-///
-/// Same conditions as [`mse`].
-pub fn mae(pred: &[f64], target: &[f64]) -> Result<f64> {
-    check(pred, target)?;
-    Ok(pred
-        .iter()
-        .zip(target)
-        .map(|(p, t)| (p - t).abs())
-        .sum::<f64>()
-        / pred.len() as f64)
-}
-
 /// Mean absolute percentage error, in percent — the metric of Table IV.
 ///
 /// Targets with magnitude below `floor` are skipped (the paper notes that

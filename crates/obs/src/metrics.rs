@@ -481,12 +481,6 @@ impl WindowedHistogram {
         &self.bounds
     }
 
-    /// Number of ring epochs in the window.
-    #[must_use]
-    pub fn window_epochs(&self) -> usize {
-        self.inner.epochs.len()
-    }
-
     /// Wall-clock length of one epoch.
     #[must_use]
     pub fn epoch_len(&self) -> Duration {

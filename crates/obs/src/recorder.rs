@@ -219,11 +219,6 @@ impl SpanGuard {
         self.id
     }
 
-    /// Seconds since the span opened (span still open).
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
     /// Closes the span now and returns the elapsed seconds — the same
     /// quantity the `SpanEnd` record carries, so table rows built from
     /// the return value and profiles folded from the trace agree exactly.

@@ -77,7 +77,7 @@ use std::time::{Duration, Instant};
 use stco_cells::encode::{CellGraph, FEATURE_DIM};
 use stco_nn::gnn::GraphData;
 use stco_store::{Artifact, ArtifactKey, Registry};
-use stco_surrogate::cell_model::{BatchedCellGraph, CellModel, InferencePrecision, METRICS};
+use stco_surrogate::cell_model::{BatchedCellGraph, CellModel, METRICS};
 use stco_surrogate::encoding::{EDGE_DIM, NODE_DIM};
 use stco_surrogate::iv_predictor::IvPredictor;
 use stco_surrogate::poisson_emulator::PoissonEmulator;
@@ -195,17 +195,6 @@ impl SlowLog {
     }
 }
 
-/// Reads the `STCO_PRECISION` environment variable: `f32` opts a
-/// freshly loaded cell model into the bounded-error fast-inference path
-/// (DESIGN.md §15); anything else — including unset — keeps the
-/// bitwise-deterministic `f64` default.
-fn precision_from_env() -> InferencePrecision {
-    match std::env::var("STCO_PRECISION") {
-        Ok(v) if v.eq_ignore_ascii_case("f32") => InferencePrecision::F32,
-        _ => InferencePrecision::F64,
-    }
-}
-
 /// Reads `STCO_SHARDS` (default 1, capped at 64 — far above any sane
 /// shard count for one process).
 fn shards_from_env() -> usize {
@@ -239,11 +228,7 @@ impl LoadedModel {
         artifact: &Artifact,
     ) -> std::result::Result<LoadedModel, stco_store::StoreError> {
         match artifact.kind.as_str() {
-            CellModel::ARTIFACT_KIND => {
-                let mut model = CellModel::from_artifact(artifact)?;
-                model.set_precision(precision_from_env());
-                Ok(LoadedModel::Cell(model))
-            }
+            CellModel::ARTIFACT_KIND => Ok(LoadedModel::Cell(CellModel::from_artifact(artifact)?)),
             PoissonEmulator::ARTIFACT_KIND => Ok(LoadedModel::Poisson(
                 PoissonEmulator::from_artifact(artifact)?,
             )),
@@ -1057,7 +1042,7 @@ enum ForwardTask {
 /// Everything else (other model kinds, lone cell requests) runs its own
 /// per-item forward. The output is indexed like `work`, and every value
 /// is bitwise-identical to the per-item [`LoadedModel::predict`] result
-/// under the default `f64` precision (DESIGN.md §15).
+/// (DESIGN.md §15).
 fn forward_batch(work: &[(Arc<LoadedModel>, PredictInput)]) -> Vec<Result<Vec<f64>>> {
     // Group cell items by model identity (Arc pointer): requests for
     // the same installed model share weights and can be packed.

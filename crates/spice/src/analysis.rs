@@ -82,7 +82,6 @@ pub struct TranResult {
     stride: usize,
     num_node_unknowns: usize,
     config: TranConfig,
-    method: Integration,
     resumed_at: Option<f64>,
 }
 
@@ -160,28 +159,12 @@ pub struct TranConfig {
     pub dt: f64,
 }
 
-/// Transient integration method.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Integration {
-    /// First-order implicit Euler: unconditionally stable, O(dt) error.
-    #[default]
-    BackwardEuler,
-    /// Second-order trapezoidal rule: O(dt²) error; the SPICE default.
-    Trapezoidal,
-}
-
 /// Everything the stamps need in a dynamic (time-stepping) solve.
 struct DynamicCtx<'a> {
     /// Node voltages at the previous accepted time point.
     prev_v: &'a [f64],
     /// Step size, s.
     dt: f64,
-    /// Integration method for the explicit capacitive elements.
-    method: Integration,
-    /// Per-capacitor currents at the previous time point (trapezoidal
-    /// state; indexed in [`Circuit::cap_list`] order). Empty slices read
-    /// as zero.
-    cap_currents: &'a [f64],
     /// Artificial node-to-ground capacitance conductance, S (nonzero only
     /// in pseudo-transient DC).
     artificial_g: f64,
@@ -305,8 +288,6 @@ impl Circuit {
             let ctx = DynamicCtx {
                 prev_v: &prev,
                 dt,
-                method: Integration::BackwardEuler,
-                cap_currents: &[],
                 artificial_g: g_art,
             };
             match newton_solve(self, &mut trial, 0.0, 1.0, Some(&ctx), ws, iters) {
@@ -346,28 +327,14 @@ impl Circuit {
     ///
     /// The first sample is the operating point at `t = 0`; subsequent
     /// samples land on the nominal `dt` grid (internal step halving on
-    /// Newton failure is invisible to the caller). For second-order
-    /// accuracy use [`Circuit::transient_with`] with
-    /// [`Integration::Trapezoidal`].
+    /// Newton failure is invisible to the caller).
     ///
     /// # Errors
     ///
-    /// Returns [`SpiceError::NoConvergence`] if a step fails even at
+    /// Returns [`SpiceError::BadNetlist`] unless `dt` and `t_stop` are
+    /// positive, [`SpiceError::NoConvergence`] if a step fails even at
     /// `dt/1024`, or propagates LU failures.
     pub fn transient(&self, config: &TranConfig) -> Result<TranResult> {
-        self.transient_with(config, Integration::BackwardEuler)
-    }
-
-    /// Runs a transient with the chosen integration method.
-    ///
-    /// Trapezoidal integration keeps per-capacitor current state (the
-    /// standard SPICE companion form `i_{n+1} = (2C/dt)(v_{n+1} − v_n) −
-    /// i_n`), halving the local error order relative to backward Euler.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Circuit::transient`].
-    pub fn transient_with(&self, config: &TranConfig, method: Integration) -> Result<TranResult> {
         if config.dt <= 0.0 || config.t_stop <= 0.0 {
             return Err(SpiceError::BadNetlist {
                 context: "transient needs positive dt and t_stop".into(),
@@ -378,7 +345,7 @@ impl Circuit {
         with_newton_workspace(|ws| {
             let dc = self.dc_operating_point_ws(ws, &iters)?;
             let state: Vec<f64> = dc.voltages.into_iter().chain(dc.branch_currents).collect();
-            self.step_transient(config, method, &[0.0], &state, ws, &iters)
+            self.step_transient(config, &[0.0], &state, ws, &iters)
         })
     }
 
@@ -394,8 +361,8 @@ impl Circuit {
     /// `self.transient(config)` bit for bit; only
     /// [`TranResult::resumed_at`] tells them apart. `run` must be
     /// `earlier`'s transient: its samples are copied as they are. A run on
-    /// another grid, a trapezoidal run, or circuits that already differ
-    /// at `t = 0` fall back to a full [`Circuit::transient`].
+    /// another grid, or circuits that already differ at `t = 0`, fall
+    /// back to a full [`Circuit::transient`].
     ///
     /// # Errors
     ///
@@ -406,10 +373,7 @@ impl Circuit {
         earlier: &Circuit,
         run: &TranResult,
     ) -> Result<TranResult> {
-        let keep = if run.config == *config
-            && run.method == Integration::BackwardEuler
-            && run.stride == self.system_size()
-        {
+        let keep = if run.config == *config && run.stride == self.system_size() {
             let until = self.agrees_until(earlier);
             run.times.partition_point(|&t| t <= until)
         } else {
@@ -429,7 +393,6 @@ impl Circuit {
         let mut result = with_newton_workspace(|ws| {
             self.step_transient(
                 config,
-                Integration::BackwardEuler,
                 &run.times[..keep],
                 &run.states[..keep * run.stride],
                 ws,
@@ -447,7 +410,6 @@ impl Circuit {
     fn step_transient(
         &self,
         config: &TranConfig,
-        method: Integration,
         prefix_times: &[f64],
         prefix_states: &[f64],
         ws: &mut NewtonWorkspace,
@@ -457,20 +419,14 @@ impl Circuit {
         let accepts = metrics.counter("spice.timestep_accepts");
         let rejects = metrics.counter("spice.timestep_rejects");
         let n = self.num_nodes() - 1;
-        let caps = self.cap_list();
         let size = self.system_size();
         let mut state = prefix_states[prefix_states.len() - size..].to_vec();
-        // At the operating point every capacitor carries zero current.
-        // Backward Euler never reads these currents, which is why a
-        // resumed (backward-Euler) run may start them at zero too.
-        let mut cap_currents = vec![0.0; caps.len()];
         let expected = (config.t_stop / config.dt).ceil() as usize + 2;
         let mut times = Vec::with_capacity(expected);
         times.extend_from_slice(prefix_times);
         let mut states = Vec::with_capacity(expected * size);
         states.extend_from_slice(prefix_states);
         let mut local_state = vec![0.0; size];
-        let mut local_cap_i = vec![0.0; caps.len()];
         let mut trial = vec![0.0; size];
         let mut prev_v = vec![0.0; n];
         let mut t = prefix_times[prefix_times.len() - 1];
@@ -479,7 +435,6 @@ impl Circuit {
             let mut sub_dt = target - t;
             let mut t_local = t;
             local_state.copy_from_slice(&state);
-            local_cap_i.copy_from_slice(&cap_currents);
             let mut halvings = 0;
             while t_local < target - 1e-18 {
                 let step_end = (t_local + sub_dt).min(target);
@@ -489,28 +444,10 @@ impl Circuit {
                 let ctx = DynamicCtx {
                     prev_v: &prev_v,
                     dt,
-                    method,
-                    cap_currents: &local_cap_i,
                     artificial_g: 0.0,
                 };
                 match newton_solve(self, &mut trial, step_end, 1.0, Some(&ctx), ws, iters) {
                     Ok(()) => {
-                        // Advance the capacitor-current state.
-                        let volt = |v: &[f64], node: NodeId| -> f64 {
-                            if node == Circuit::GROUND {
-                                0.0
-                            } else {
-                                v[node.0 - 1]
-                            }
-                        };
-                        for (k, &(a, b, c)) in caps.iter().enumerate() {
-                            let dv = (volt(&trial, a) - volt(&trial, b))
-                                - (volt(&prev_v, a) - volt(&prev_v, b));
-                            local_cap_i[k] = match method {
-                                Integration::BackwardEuler => c / dt * dv,
-                                Integration::Trapezoidal => 2.0 * c / dt * dv - local_cap_i[k],
-                            };
-                        }
                         local_state.copy_from_slice(&trial);
                         stco_numerics::debug_assert_all_finite!("spice.tran.state", &local_state);
                         t_local = step_end;
@@ -538,7 +475,6 @@ impl Circuit {
                 }
             }
             state.copy_from_slice(&local_state);
-            cap_currents.copy_from_slice(&local_cap_i);
             t = target;
             times.push(t);
             states.extend_from_slice(&state);
@@ -549,35 +485,8 @@ impl Circuit {
             stride: size,
             num_node_unknowns: n,
             config: *config,
-            method,
             resumed_at: None,
         })
-    }
-
-    /// The explicit capacitive elements in deterministic stamp order:
-    /// capacitors, then each TFT's C_gs and C_gd halves.
-    fn cap_list(&self) -> Vec<(NodeId, NodeId, f64)> {
-        let mut caps = Vec::new();
-        for e in self.elements() {
-            match e {
-                Element::Capacitor {
-                    nodes: (a, b),
-                    capacitance,
-                    ..
-                } => caps.push((*a, *b, *capacitance)),
-                Element::Tft {
-                    dgs: (d, g, s),
-                    model,
-                    ..
-                } => {
-                    let half = 0.5 * model.gate_capacitance();
-                    caps.push((*g, *s, half));
-                    caps.push((*g, *d, half));
-                }
-                _ => {}
-            }
-        }
-        caps
     }
 }
 
@@ -691,7 +600,6 @@ fn stamp_all(
             sys.stamp_current(ckt, NodeId(i), Circuit::GROUND, -g_node * v_prev);
         }
     }
-    let mut cap_index = 0usize;
     for e in ckt.elements() {
         match e {
             Element::Resistor {
@@ -706,7 +614,7 @@ fn stamp_all(
                 capacitance,
                 ..
             } => {
-                stamp_capacitor(ckt, sys, *a, *b, *capacitance, dynamic, &mut cap_index);
+                stamp_capacitor(ckt, sys, *a, *b, *capacitance, dynamic);
             }
             Element::VoltageSource {
                 nodes: (p, m),
@@ -740,8 +648,8 @@ fn stamp_all(
                 sys.stamp_current(ckt, *d, *s, i_eq);
                 // Gate loading: Cgs and Cgd at half the gate capacitance.
                 let half_cg = 0.5 * model.gate_capacitance();
-                stamp_capacitor(ckt, sys, *g, *s, half_cg, dynamic, &mut cap_index);
-                stamp_capacitor(ckt, sys, *g, *d, half_cg, dynamic, &mut cap_index);
+                stamp_capacitor(ckt, sys, *g, *s, half_cg, dynamic);
+                stamp_capacitor(ckt, sys, *g, *d, half_cg, dynamic);
             }
         }
     }
@@ -754,10 +662,7 @@ fn stamp_capacitor(
     b: NodeId,
     c: f64,
     dynamic: Option<&DynamicCtx<'_>>,
-    cap_index: &mut usize,
 ) {
-    let k = *cap_index;
-    *cap_index += 1;
     let Some(ctx) = dynamic else {
         // DC: capacitor is open; nothing to stamp (g-min ties nodes).
         return;
@@ -770,22 +675,10 @@ fn stamp_capacitor(
         }
     };
     let v_prev = pv(a) - pv(b);
-    match ctx.method {
-        Integration::BackwardEuler => {
-            // i = g·v − g·v_prev with g = C/dt.
-            let g = c / ctx.dt;
-            sys.stamp_conductance(ckt, a, b, g);
-            sys.stamp_current(ckt, a, b, -g * v_prev);
-        }
-        Integration::Trapezoidal => {
-            // i_{n+1} = g·(v_{n+1} − v_n) + (−i_n) with g = 2C/dt; the
-            // history current makes the rule second-order.
-            let g = 2.0 * c / ctx.dt;
-            let i_prev = ctx.cap_currents.get(k).copied().unwrap_or(0.0);
-            sys.stamp_conductance(ckt, a, b, g);
-            sys.stamp_current(ckt, a, b, -g * v_prev - i_prev);
-        }
-    }
+    // Backward Euler: i = g·v − g·v_prev with g = C/dt.
+    let g = c / ctx.dt;
+    sys.stamp_conductance(ckt, a, b, g);
+    sys.stamp_current(ckt, a, b, -g * v_prev);
 }
 
 #[cfg(test)]
@@ -890,53 +783,6 @@ mod tests {
         }
         assert!(high_out > 2.9, "off transistor → output ≈ VDD: {high_out}");
         assert!(low_out < 0.5, "on transistor pulls low: {low_out}");
-    }
-
-    #[test]
-    fn trapezoidal_beats_backward_euler_on_rc() {
-        // RC driven by a linear ramp (exactly representable by the PWL
-        // source at any step size, so the comparison isolates the
-        // integrator): v(t) = a·(t − τ(1 − e^{−t/τ})). At a deliberately
-        // coarse dt the second-order rule must be much closer.
-        let (r, c) = (1.0e3, 1.0e-9);
-        let tau = r * c;
-        let t_stop = 2.0 * tau;
-        let mut ckt = Circuit::new();
-        let vin = ckt.node("in");
-        let out = ckt.node("out");
-        ckt.add_vsource(
-            "V1",
-            vin,
-            Circuit::GROUND,
-            Waveform::Pwl(vec![(0.0, 0.0), (t_stop, 2.0)]), // a = 1 V/τ
-        );
-        ckt.add_resistor("R", vin, out, r);
-        ckt.add_capacitor("C", out, Circuit::GROUND, c);
-        let config = TranConfig {
-            t_stop,
-            dt: tau / 6.0, // deliberately coarse
-        };
-        let be = ckt
-            .transient_with(&config, Integration::BackwardEuler)
-            .unwrap();
-        let tr = ckt
-            .transient_with(&config, Integration::Trapezoidal)
-            .unwrap();
-        let a = 2.0 / t_stop;
-        let exact = |t: f64| a * (t - tau * (1.0 - (-t / tau).exp()));
-        let err = |res: &TranResult| -> f64 {
-            let v = res.voltage_trace(out);
-            res.times()
-                .iter()
-                .zip(&v)
-                .map(|(&t, &x)| (x - exact(t)).abs())
-                .fold(0.0_f64, f64::max)
-        };
-        let (be_err, tr_err) = (err(&be), err(&tr));
-        assert!(
-            tr_err < 0.3 * be_err,
-            "trap err {tr_err:.4e} vs BE err {be_err:.4e}"
-        );
     }
 
     #[test]

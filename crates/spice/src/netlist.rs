@@ -91,15 +91,6 @@ impl Waveform {
         }
     }
 
-    /// The DC (t = 0⁻) value used by operating-point analysis.
-    pub fn dc_value(&self) -> f64 {
-        match self {
-            Waveform::Dc(v) => *v,
-            Waveform::Pulse { v0, .. } => *v0,
-            Waveform::Pwl(points) => points.first().map_or(0.0, |p| p.1),
-        }
-    }
-
     /// A time `T` such that `self.value_at(t)` and `other.value_at(t)`
     /// have the same bits at every `t ≤ T`: `+∞` for bitwise-identical
     /// waveforms, `−∞` when no such time is known.
@@ -362,11 +353,6 @@ impl Circuit {
     /// Looks up an existing node by name.
     pub fn find_node(&self, name: &str) -> Option<NodeId> {
         self.node_names.iter().position(|n| n == name).map(NodeId)
-    }
-
-    /// Name of a node.
-    pub fn node_name(&self, node: NodeId) -> &str {
-        &self.node_names[node.0]
     }
 
     /// Number of nodes including ground.
@@ -634,7 +620,6 @@ mod tests {
         assert_eq!(w.value_at(2.5), 1.0);
         assert!((w.value_at(4.5) - 0.5).abs() < 1e-12);
         assert_eq!(w.value_at(6.0), 0.0);
-        assert_eq!(w.dc_value(), 0.0);
     }
 
     #[test]

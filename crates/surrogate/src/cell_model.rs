@@ -13,12 +13,11 @@ use std::sync::Arc;
 use stco_cells::encode::{CellGraph, FEATURE_DIM};
 use stco_nn::ad::Graph;
 use stco_nn::gnn::{GcnLayer, GraphBatch, GraphData};
-use stco_nn::layers::{Activation, Linear, Mlp};
+use stco_nn::layers::{Activation, Mlp};
 use stco_nn::optim::Adam;
 use stco_nn::train::{fit, parallel_batch_step, TrainConfig};
 use stco_nn::Params;
-use stco_numerics::dense32::narrow;
-use stco_numerics::{CsrMatrix, Matrix, MatrixF32};
+use stco_numerics::{CsrMatrix, Matrix};
 use stco_par::ParConfig;
 
 use crate::{Result, SurrogateError};
@@ -80,38 +79,6 @@ impl Default for CellModelConfig {
     }
 }
 
-/// Numeric precision of the inference forward pass.
-///
-/// The default [`InferencePrecision::F64`] path is bitwise-deterministic:
-/// batched, threaded and blocked-kernel forwards reproduce the serial
-/// result bit for bit. [`InferencePrecision::F32`] is an opt-in fast
-/// path — weights are narrowed once by [`CellModel::set_precision`] and
-/// the blocked GEMM kernels run in single precision — that trades the
-/// bitwise contract for a property-tested relative-error bound of
-/// [`F32_REL_ERROR_BOUND`] per predicted value (DESIGN.md §15).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InferencePrecision {
-    /// Double precision, bitwise-deterministic (the default).
-    #[default]
-    F64,
-    /// Single precision, bounded-relative-error fast inference.
-    F32,
-}
-
-/// Relative-error bound of the f32 inference path versus the f64
-/// reference, per predicted metric value in original units. Enforced by
-/// the surrogate proptests and by `serving_smoke` when
-/// `STCO_PRECISION=f32`.
-pub const F32_REL_ERROR_BOUND: f64 = 1.0e-3;
-
-/// Weights narrowed to `f32` once, at [`CellModel::set_precision`] time:
-/// `(weight, bias-row)` per GCN layer and per head linear.
-#[derive(Debug, Clone)]
-struct F32Weights {
-    layers: Vec<(MatrixF32, MatrixF32)>,
-    heads: Vec<Vec<(MatrixF32, MatrixF32)>>,
-}
-
 /// The trained (or trainable) cell-characterization surrogate.
 #[derive(Debug, Clone)]
 pub struct CellModel {
@@ -121,8 +88,6 @@ pub struct CellModel {
     config: CellModelConfig,
     // Per-metric (mean, std) of log-targets.
     norms: Vec<(f64, f64)>,
-    precision: InferencePrecision,
-    f32_weights: Option<Arc<F32Weights>>,
 }
 
 /// A batch of encoded cell graphs packed into one disjoint union:
@@ -133,7 +98,7 @@ pub struct CellModel {
 /// over the whole union in a few large GEMMs instead of one small GEMM
 /// chain per graph. Because the union adjacency is block-diagonal and
 /// every trunk operation is row-independent (or segment-contiguous), the
-/// batched `f64` forward is bitwise-identical to looping
+/// batched forward is bitwise-identical to looping
 /// [`CellModel::predict_many`] over the graphs.
 #[derive(Debug, Clone)]
 pub struct BatchedCellGraph {
@@ -250,42 +215,6 @@ impl CellModel {
             heads,
             config,
             norms: vec![(0.0, 1.0); METRICS.len()],
-            precision: InferencePrecision::default(),
-            f32_weights: None,
-        }
-    }
-
-    /// Current inference precision.
-    pub fn precision(&self) -> InferencePrecision {
-        self.precision
-    }
-
-    /// Switches the inference precision. Selecting
-    /// [`InferencePrecision::F32`] narrows the current weights once;
-    /// selecting [`InferencePrecision::F64`] drops the narrowed copy.
-    /// Training refreshes the narrowed weights automatically.
-    pub fn set_precision(&mut self, precision: InferencePrecision) {
-        self.precision = precision;
-        self.f32_weights = match precision {
-            InferencePrecision::F32 => Some(Arc::new(self.narrow_weights())),
-            InferencePrecision::F64 => None,
-        };
-    }
-
-    fn narrow_weights(&self) -> F32Weights {
-        let nw = |lin: &Linear| {
-            (
-                MatrixF32::from_f64(self.params.value(lin.weight())),
-                MatrixF32::from_f64(self.params.value(lin.bias())),
-            )
-        };
-        F32Weights {
-            layers: self.layers.iter().map(|l| nw(l.linear())).collect(),
-            heads: self
-                .heads
-                .iter()
-                .map(|h| h.layers().iter().map(nw).collect())
-                .collect(),
         }
     }
 
@@ -373,9 +302,6 @@ impl CellModel {
                 total / val_prepared.len() as f64
             }),
         );
-        if self.precision == InferencePrecision::F32 {
-            self.f32_weights = Some(Arc::new(self.narrow_weights()));
-        }
         Ok(history)
     }
 
@@ -391,12 +317,6 @@ impl CellModel {
     /// (the trunk recomputes to the same bits), at one trunk evaluation
     /// instead of `metrics.len()`.
     pub fn predict_many(&self, graph: &CellGraph, metrics: &[usize]) -> Vec<f64> {
-        if self.precision == InferencePrecision::F32 {
-            if let Some(w) = &self.f32_weights {
-                let batch = BatchedCellGraph::pack(&[graph]);
-                return self.forward_f32(w, &batch, &[metrics]).swap_remove(0);
-            }
-        }
         let n = graph.num_nodes();
         let mut gd = GraphData {
             node_features: Matrix::from_vec(n, FEATURE_DIM, graph.features.clone()),
@@ -431,13 +351,11 @@ impl CellModel {
     /// `[num_graphs × hidden]` embedding.
     ///
     /// `metrics[i]` lists the metric indices wanted for graph `i`; the
-    /// return value is shaped the same way. Under the default `f64`
-    /// precision the results are bitwise-identical to calling
-    /// [`CellModel::predict_many`] per graph — every trunk operation is
-    /// row-independent over the union, and the pooled segments are the
-    /// contiguous per-graph node ranges in serial order. Under
-    /// [`InferencePrecision::F32`] the results instead satisfy
-    /// [`F32_REL_ERROR_BOUND`].
+    /// return value is shaped the same way. The results are
+    /// bitwise-identical to calling [`CellModel::predict_many`] per
+    /// graph — every trunk operation is row-independent over the union,
+    /// and the pooled segments are the contiguous per-graph node ranges
+    /// in serial order.
     ///
     /// # Panics
     ///
@@ -449,11 +367,6 @@ impl CellModel {
             batch.num_graphs,
             "one metric list per graph in the batch"
         );
-        if self.precision == InferencePrecision::F32 {
-            if let Some(w) = &self.f32_weights {
-                return self.forward_f32(w, batch, metrics);
-            }
-        }
         let mut needed: Vec<usize> = metrics.iter().flat_map(|m| m.iter().copied()).collect();
         needed.sort_unstable();
         needed.dedup();
@@ -482,56 +395,6 @@ impl CellModel {
                 })
                 .collect()
         })
-    }
-
-    /// The tape-free single-precision forward: narrowed weights, blocked
-    /// `f32` GEMMs, f64 denormalization at the very end.
-    fn forward_f32(
-        &self,
-        w: &F32Weights,
-        batch: &BatchedCellGraph,
-        metrics: &[&[usize]],
-    ) -> Vec<Vec<f64>> {
-        let mut h = MatrixF32::from_f64(&batch.features);
-        let mut tmp = MatrixF32::default();
-        for (layer, (lw, lb)) in self.layers.iter().zip(&w.layers) {
-            linear_f32(&h, lw, lb, &mut tmp);
-            h.reset_zeroed(batch.adj.rows(), tmp.cols());
-            spmm_f32(&batch.adj, &tmp, &mut h);
-            apply_activation_f32(layer.activation(), &mut h);
-        }
-        let mut pooled = MatrixF32::default();
-        segment_mean_f32(&h, &batch.seg, batch.num_graphs, &mut pooled);
-
-        let mut needed: Vec<usize> = metrics.iter().flat_map(|m| m.iter().copied()).collect();
-        needed.sort_unstable();
-        needed.dedup();
-        let mut columns: BTreeMap<usize, MatrixF32> = BTreeMap::new();
-        for &metric in &needed {
-            let head = &w.heads[metric];
-            let mut x = pooled.clone();
-            for (i, (hw, hb)) in head.iter().enumerate() {
-                linear_f32(&x, hw, hb, &mut tmp);
-                std::mem::swap(&mut x, &mut tmp);
-                if i + 1 < head.len() {
-                    apply_activation_f32(self.heads[metric].activation(), &mut x);
-                }
-            }
-            columns.insert(metric, x);
-        }
-        metrics
-            .iter()
-            .enumerate()
-            .map(|(gi, ms)| {
-                ms.iter()
-                    .map(|&m| {
-                        let (mean, std) = self.norms[m];
-                        let z = f64::from(columns[&m].get(gi, 0));
-                        10.0_f64.powf(z * std + mean)
-                    })
-                    .collect()
-            })
-            .collect()
     }
 
     /// Serializes the trained model into an artifact of kind
@@ -648,80 +511,6 @@ impl CellModel {
                 )
             })
             .collect())
-    }
-}
-
-/// `out = x·w + b` (row-broadcast bias) in f32; `out` is reshaped.
-// stco-hot
-fn linear_f32(x: &MatrixF32, w: &MatrixF32, b: &MatrixF32, out: &mut MatrixF32) {
-    out.reset_zeroed(x.rows(), w.cols());
-    x.gemm_into(w, out);
-    for i in 0..x.rows() {
-        for (o, bv) in out.row_mut(i).iter_mut().zip(b.row(0)) {
-            *o += *bv;
-        }
-    }
-}
-
-/// `out += adj · x` over a pre-zeroed `out`, narrowing the f64 CSR
-/// values per entry.
-// stco-hot
-fn spmm_f32(adj: &CsrMatrix, x: &MatrixF32, out: &mut MatrixF32) {
-    for i in 0..adj.rows() {
-        for (j, v) in adj.row_entries(i) {
-            let wf = narrow(v);
-            for (o, xv) in out.row_mut(i).iter_mut().zip(x.row(j)) {
-                *o += wf * *xv;
-            }
-        }
-    }
-}
-
-/// Mean of rows sharing a segment id, the f32 twin of
-/// `Graph::segment_mean`; `out` is reshaped to `[n_seg × cols]`.
-// stco-hot
-fn segment_mean_f32(x: &MatrixF32, seg: &[usize], n_seg: usize, out: &mut MatrixF32) {
-    out.reset_zeroed(n_seg, x.cols());
-    let mut counts = vec![0usize; n_seg];
-    for (i, &s) in seg.iter().enumerate() {
-        counts[s] += 1;
-        for (o, v) in out.row_mut(s).iter_mut().zip(x.row(i)) {
-            *o += *v;
-        }
-    }
-    for (s, &c) in counts.iter().enumerate() {
-        if c > 0 {
-            let inv = 1.0 / narrow(c as f64);
-            for v in out.row_mut(s) {
-                *v *= inv;
-            }
-        }
-    }
-}
-
-/// Elementwise activation in f32.
-fn apply_activation_f32(act: Activation, x: &mut MatrixF32) {
-    for v in x.as_mut_slice() {
-        *v = match act {
-            Activation::Relu => v.max(0.0),
-            Activation::LeakyRelu => {
-                if *v < 0.0 {
-                    0.2 * *v
-                } else {
-                    *v
-                }
-            }
-            Activation::Elu => {
-                if *v < 0.0 {
-                    v.exp() - 1.0
-                } else {
-                    *v
-                }
-            }
-            Activation::Tanh => v.tanh(),
-            Activation::Sigmoid => 1.0 / (1.0 + (-*v).exp()),
-            Activation::Identity => *v,
-        };
     }
 }
 
@@ -860,40 +649,6 @@ mod tests {
                     "graph {gi} metric {} differs: batched {b:e} vs serial {s:e}",
                     ms[j]
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn f32_precision_is_opt_in_and_stays_within_bound() {
-        let grid = stco_compact::tech::CornerGrid::default();
-        let corners = grid.corners(2);
-        let samples = synthetic_samples(&[CellKind::Inv, CellKind::Nand2], &corners);
-        let mut model = CellModel::new(CellModelConfig::default());
-        assert_eq!(model.precision(), InferencePrecision::F64);
-        let all: Vec<usize> = (0..METRICS.len()).collect();
-        let reference: Vec<Vec<f64>> = samples
-            .iter()
-            .map(|s| model.predict_many(&s.graph, &all))
-            .collect();
-        model.set_precision(InferencePrecision::F32);
-        assert_eq!(model.precision(), InferencePrecision::F32);
-        for (s, refs) in samples.iter().zip(&reference) {
-            let fast = model.predict_many(&s.graph, &all);
-            for (m, (f, r)) in fast.iter().zip(refs).enumerate() {
-                let rel = ((f - r) / r).abs();
-                assert!(
-                    rel <= F32_REL_ERROR_BOUND,
-                    "metric {m}: f32 {f:e} vs f64 {r:e} rel err {rel:e}"
-                );
-            }
-        }
-        // Switching back restores the bitwise path.
-        model.set_precision(InferencePrecision::F64);
-        for (s, refs) in samples.iter().zip(&reference) {
-            let again = model.predict_many(&s.graph, &all);
-            for (a, r) in again.iter().zip(refs) {
-                assert_eq!(a.to_bits(), r.to_bits());
             }
         }
     }

@@ -1,8 +1,7 @@
 //! Batched-graph forward contract (DESIGN.md §15): packing cell graphs
 //! into one block-diagonal union and running [`CellModel::predict_batch`]
 //! must reproduce serial [`CellModel::predict_many`] bit for bit on a
-//! *trained* model, at every thread count; and the opt-in f32 path must
-//! stay within [`F32_REL_ERROR_BOUND`] of the f64 reference.
+//! *trained* model, at every thread count.
 //!
 //! This file holds a single test because it toggles the process-global
 //! thread override; adding further tests here would race on it.
@@ -14,8 +13,7 @@ use stco_nn::train::TrainConfig;
 use stco_numerics::rng::Xorshift;
 use stco_par::set_global_threads;
 use stco_surrogate::cell_model::{
-    BatchedCellGraph, CellModel, CellModelConfig, CellSample, InferencePrecision,
-    F32_REL_ERROR_BOUND, METRICS,
+    BatchedCellGraph, CellModel, CellModelConfig, CellSample, METRICS,
 };
 use stco_tcad::materials::Technology;
 
@@ -124,34 +122,4 @@ fn batched_forward_matches_serial_bitwise_on_trained_model_across_threads() {
         per_thread_bits[0], per_thread_bits[1],
         "batched predictions diverge between 1 and 4 threads"
     );
-
-    // The f32 fast path on the same trained model: off by default,
-    // bounded relative error when enabled, bitwise restoration after.
-    let f64_reference: Vec<Vec<f64>> = pool
-        .iter()
-        .map(|g| model.predict_many(g, &all_metrics))
-        .collect();
-    model.set_precision(InferencePrecision::F32);
-    for (g, refs) in pool.iter().zip(&f64_reference) {
-        let fast = model.predict_many(g, &all_metrics);
-        for (m, (f, r)) in fast.iter().zip(refs).enumerate() {
-            let rel = ((f - r) / r).abs();
-            assert!(
-                rel <= F32_REL_ERROR_BOUND,
-                "trained model, metric {m}: rel err {rel:e} exceeds {F32_REL_ERROR_BOUND:e}"
-            );
-        }
-    }
-    model.set_precision(InferencePrecision::F64);
-    let restored: Vec<Vec<f64>> = pool
-        .iter()
-        .map(|g| model.predict_many(g, &all_metrics))
-        .collect();
-    for (a, b) in restored
-        .iter()
-        .flatten()
-        .zip(f64_reference.iter().flatten())
-    {
-        assert_eq!(a.to_bits(), b.to_bits(), "f64 path not restored bitwise");
-    }
 }

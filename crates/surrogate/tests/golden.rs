@@ -1,9 +1,14 @@
-//! Golden fingerprints of the device surrogates' inference path: the
-//! unified device encoding for every task, and seeded untrained Poisson
+//! Golden fingerprints of the surrogates' inference paths: the unified
+//! device encoding for every task, and seeded untrained Poisson
 //! emulators and IV predictors, on the CNT, LTPS and IGZO reference
-//! devices at two biases each. A change to any encoded feature or any
-//! predicted value, down to one bit, fails here.
+//! devices at two biases each; and seeded untrained cell models on
+//! encoded INV, NAND2 and DFF graphs at two corners. A change to any
+//! encoded feature or any predicted value, down to one bit, fails here.
 
+use stco_cells::encode::{encode_cell, CellGraph, EncodingContext};
+use stco_cells::library::{CellKind, CellType};
+use stco_compact::tech::{Corner, TechnologyCard};
+use stco_surrogate::cell_model::{BatchedCellGraph, CellModel, CellModelConfig, METRICS};
 use stco_surrogate::encoding::{encode_device, TaskFeatures};
 use stco_surrogate::iv_predictor::{IvConfig, IvPredictor};
 use stco_surrogate::poisson_emulator::{PoissonConfig, PoissonEmulator};
@@ -71,6 +76,21 @@ const GOLDEN_IV: [(&str, usize, u64); 6] = [
 /// Fingerprint of the four models' `evaluate` metrics (MSE and R² bits)
 /// over all six devices.
 const GOLDEN_EVALUATE: u64 = 0xa295704c86e6c64f;
+
+/// `(cell, corner index, fingerprint)` of the two cell models'
+/// `predict_many` outputs over all nine metrics.
+const GOLDEN_CELL_MANY: [(&str, usize, u64); 6] = [
+    ("INV", 0, 0x56bff24280b4393d),
+    ("INV", 1, 0xc0279afecb866d16),
+    ("NAND2", 0, 0xa392188066a2e01e),
+    ("NAND2", 1, 0x705d52b58fefe794),
+    ("DFF", 0, 0x000336f6e1e82486),
+    ("DFF", 1, 0x65f0d9cd409d7b86),
+];
+
+/// Fingerprint of the two cell models' `predict_batch` outputs over all
+/// six graphs packed into one batch, all nine metrics each.
+const GOLDEN_CELL_BATCH: u64 = 0xca4554b016cba744;
 
 const TECHNOLOGIES: [(Technology, &str); 3] = [
     (Technology::Cnt, "CNT"),
@@ -143,6 +163,56 @@ fn iv_models() -> [IvPredictor; 2] {
             ..IvConfig::default()
         }),
     ]
+}
+
+/// The default cell model and one of another depth and width.
+fn cell_models() -> [CellModel; 2] {
+    [
+        CellModel::new(CellModelConfig::default()),
+        CellModel::new(CellModelConfig {
+            depth: 2,
+            hidden: 16,
+            head_hidden: 8,
+            seed: 5,
+            ..CellModelConfig::default()
+        }),
+    ]
+}
+
+/// INV, NAND2 and DFF on the LTPS reference card, encoded at a nominal
+/// and a shifted corner with a rising transition on every input.
+fn cell_graphs() -> Vec<(&'static str, usize, CellGraph)> {
+    let base = TechnologyCard::reference(Technology::Ltps);
+    let corners = [
+        Corner::nominal(3.0),
+        Corner {
+            vdd: 2.0,
+            vth_shift: 0.1,
+            cox_scale: 1.2,
+        },
+    ];
+    let mut out = Vec::new();
+    for (kind, name) in [
+        (CellKind::Inv, "INV"),
+        (CellKind::Nand2, "NAND2"),
+        (CellKind::Dff, "DFF"),
+    ] {
+        let cell = CellType::by_kind(kind);
+        for (k, corner) in corners.iter().enumerate() {
+            let built = cell.build(&base.at_corner(*corner), 1.0);
+            let mut ctx = EncodingContext::default();
+            for pin in &cell.inputs {
+                ctx.input_slew.insert((*pin).to_string(), 2.0e-9);
+                ctx.current_state.insert((*pin).to_string(), 0.0);
+                ctx.next_state.insert((*pin).to_string(), 1.0);
+            }
+            for pin in &cell.outputs {
+                ctx.output_load.insert((*pin).to_string(), 10.0e-15);
+            }
+            out.push((name, k, encode_cell(&built, &ctx)));
+        }
+    }
+    out
 }
 
 fn table(rows: &[(&str, usize, u64)]) -> String {
@@ -235,4 +305,37 @@ fn evaluation_metrics_match_golden_fingerprint() {
     let values: Vec<f64> = metrics.iter().flat_map(|m| [m.mse, m.r_squared]).collect();
     let got = fnv1a(value_bytes(&values));
     assert_eq!(got, GOLDEN_EVALUATE, "fingerprint now: {got:#018x}");
+}
+
+#[test]
+fn cell_model_predictions_match_golden_fingerprints() {
+    let models = cell_models();
+    let all: Vec<usize> = (0..METRICS.len()).collect();
+    let got: Vec<(&str, usize, u64)> = cell_graphs()
+        .iter()
+        .map(|(name, k, graph)| {
+            let values: Vec<f64> = models
+                .iter()
+                .flat_map(|m| m.predict_many(graph, &all))
+                .collect();
+            (*name, *k, fnv1a(value_bytes(&values)))
+        })
+        .collect();
+    assert_eq!(got, GOLDEN_CELL_MANY, "fingerprints now:\n{}", table(&got));
+}
+
+#[test]
+fn batched_cell_predictions_match_golden_fingerprint() {
+    let graphs = cell_graphs();
+    let refs: Vec<&CellGraph> = graphs.iter().map(|(_, _, g)| g).collect();
+    let batch = BatchedCellGraph::pack(&refs);
+    let all: Vec<usize> = (0..METRICS.len()).collect();
+    let metrics: Vec<&[usize]> = refs.iter().map(|_| all.as_slice()).collect();
+    let values: Vec<f64> = cell_models()
+        .iter()
+        .flat_map(|m| m.predict_batch(&batch, &metrics))
+        .flatten()
+        .collect();
+    let got = fnv1a(value_bytes(&values));
+    assert_eq!(got, GOLDEN_CELL_BATCH, "fingerprint now: {got:#018x}");
 }

@@ -74,24 +74,6 @@ impl Benchmark {
         }
     }
 
-    /// System-evaluation seconds the paper reports for this benchmark
-    /// (Table I, "System Evaluation" column) — used by the calibrated
-    /// runtime model.
-    pub fn paper_system_eval_seconds(self) -> f64 {
-        match self {
-            Benchmark::S298 => 142.0,
-            Benchmark::S386 => 136.0,
-            Benchmark::S526 => 202.0,
-            Benchmark::S820 => 198.0,
-            Benchmark::S1196 => 223.0,
-            Benchmark::S1488 => 230.0,
-            Benchmark::Mac16 => 536.0,
-            Benchmark::Mac32 => 1270.0,
-            Benchmark::Picorv32 => 939.0,
-            Benchmark::Darkriscv => 2250.0,
-        }
-    }
-
     /// Generates the benchmark netlist (deterministic).
     pub fn generate(self) -> LogicNetlist {
         match self {

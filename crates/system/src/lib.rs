@@ -20,7 +20,6 @@
 //!   runtime constants behind Table I.
 
 pub mod bench_gen;
-pub mod buffering;
 pub mod mapper;
 pub mod netlist;
 pub mod place;

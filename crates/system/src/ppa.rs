@@ -36,11 +36,6 @@ impl PpaReport {
         let a = self.area.max(1e-15);
         (d.ln() + p.ln() + a.ln()) / 3.0
     }
-
-    /// Energy-delay-like figure of merit (lower is better).
-    pub fn energy_delay_product(&self) -> f64 {
-        self.power.total() * self.timing.min_clock_period.powi(2)
-    }
 }
 
 /// Options for a full system evaluation.

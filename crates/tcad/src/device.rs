@@ -315,12 +315,6 @@ impl DeviceSampler {
         }
     }
 
-    /// Replaces the sampling ranges.
-    pub fn with_ranges(mut self, ranges: SamplerRanges) -> Self {
-        self.ranges = ranges;
-        self
-    }
-
     /// Draws one randomized `(spec, bias)` pair. Bias signs follow the
     /// channel polarity (p-type devices are driven negative).
     pub fn sample(&mut self) -> (DeviceSpec, Bias) {

@@ -17,7 +17,7 @@
 //! * [`poisson`] — a damped-Newton nonlinear Poisson solver over the mesh
 //!   (sparse Jacobian, Jacobi-preconditioned BiCGSTAB).
 //! * [`transport`] — quasi-2-D charge-drift terminal currents (the IV
-//!   predictor's regression target) and full I–V sweeps.
+//!   predictor's regression target).
 //! * [`device`] — parameterized device specs and the randomized sampler
 //!   that generates surrogate training populations.
 //! * [`dataset`] — labelled device samples (potential map, charge map,
@@ -40,7 +40,6 @@
 //! # Ok::<(), stco_tcad::TcadError>(())
 //! ```
 
-pub mod calibration;
 pub mod dataset;
 pub mod device;
 pub mod materials;

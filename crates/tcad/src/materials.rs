@@ -40,16 +40,6 @@ impl Technology {
             Technology::Ltps => "LTPS",
         }
     }
-
-    /// Dominant carrier polarity of the standard device for this
-    /// technology (CNT TFTs are typically p-type; IGZO is n-type).
-    pub fn default_polarity(self) -> Polarity {
-        match self {
-            Technology::Cnt => Polarity::PType,
-            Technology::Igzo => Polarity::NType,
-            Technology::Ltps => Polarity::NType,
-        }
-    }
 }
 
 impl std::fmt::Display for Technology {
@@ -302,7 +292,6 @@ mod tests {
         let p = ChannelParams::reference(Technology::Cnt);
         assert_eq!(p.polarity, Polarity::PType);
         assert_eq!(p.polarity.sign(), -1.0);
-        assert_eq!(Technology::Cnt.default_polarity(), Polarity::PType);
     }
 
     #[test]

@@ -88,14 +88,6 @@ pub fn srh_recombination(params: &ChannelParams, n: f64, p: f64) -> f64 {
     (n * p - ni * ni) / (params.srh_tau_p * (n + n1) + params.srh_tau_n * (p + p1)).max(1e-300)
 }
 
-/// A crude band-to-band tunneling generation factor (1/(m³·s)) that scales
-/// with the local field magnitude; parameterizes the "tunneling" slot of
-/// the material embedding.
-pub fn tunneling_generation(params: &ChannelParams, field: f64) -> f64 {
-    let f = field.abs() / 1e8; // normalize to 10⁸ V/m
-    params.tunneling_prefactor * f * f * safe_exp(-1.0 / (f + 1e-6))
-}
-
 /// Carrier-concentration-dependent mobility (m²/V·s): the VRH/TDT
 /// percolation law `μ = μ₀ (Q_s / Q_ref)^γ`, evaluated on sheet charge.
 ///
@@ -184,15 +176,6 @@ mod tests {
         assert!(srh_recombination(&p, 0.01 * ni, 0.01 * ni) < 0.0);
         // Equilibrium: zero.
         assert!(srh_recombination(&p, ni, ni).abs() < 1e-6 * ni / p.srh_tau_n);
-    }
-
-    #[test]
-    fn tunneling_grows_with_field() {
-        let p = ChannelParams::reference(Technology::Cnt);
-        let low = tunneling_generation(&p, 1e7);
-        let high = tunneling_generation(&p, 5e8);
-        assert!(high > low);
-        assert_eq!(tunneling_generation(&p, 0.0), 0.0);
     }
 
     #[test]

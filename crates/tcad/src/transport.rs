@@ -1,5 +1,5 @@
 //! Quasi-2-D charge-drift transport: terminal currents from a converged
-//! Poisson solution, and I–V sweep drivers.
+//! Poisson solution.
 //!
 //! The channel is treated as a chain of vertical slices. Each slice `x`
 //! carries a sheet charge `Q_s(x) = q ∫ n dy` (integrated over the film)
@@ -19,7 +19,7 @@ use crate::physics;
 use crate::poisson::{solve_poisson, PotentialSolution};
 use crate::Result;
 
-/// One bias point of a sweep.
+/// One simulated bias point.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IvPoint {
     /// Applied bias.
@@ -29,7 +29,7 @@ pub struct IvPoint {
 }
 
 /// Sheet charge per channel column (C/m²), integrated over the film.
-pub fn sheet_charge_profile(device: &Device, solution: &PotentialSolution) -> Vec<(usize, f64)> {
+fn sheet_charge_profile(device: &Device, solution: &PotentialSolution) -> Vec<(usize, f64)> {
     let mesh = device.mesh();
     let rows = device.channel_rows();
     device
@@ -128,30 +128,6 @@ pub fn simulate_point(device: &Device, bias: Bias) -> Result<IvPoint> {
     })
 }
 
-/// Transfer characteristic: sweeps `V_G` at fixed `V_D`.
-///
-/// # Errors
-///
-/// Propagates the first Poisson failure.
-pub fn transfer_curve(device: &Device, gate_values: &[f64], drain: f64) -> Result<Vec<IvPoint>> {
-    gate_values
-        .iter()
-        .map(|&g| simulate_point(device, Bias { gate: g, drain }))
-        .collect()
-}
-
-/// Output characteristic: sweeps `V_D` at fixed `V_G`.
-///
-/// # Errors
-///
-/// Propagates the first Poisson failure.
-pub fn output_curve(device: &Device, gate: f64, drain_values: &[f64]) -> Result<Vec<IvPoint>> {
-    drain_values
-        .iter()
-        .map(|&d| simulate_point(device, Bias { gate, drain: d }))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,8 +163,12 @@ mod tests {
     #[test]
     fn transfer_curve_is_monotone_ntype() -> Result<()> {
         let d = DeviceSpec::reference(Technology::Igzo).build()?;
-        let gates: Vec<f64> = (0..8).map(|i| -1.0 + 0.5 * i as f64).collect();
-        let curve = transfer_curve(&d, &gates, 1.0)?;
+        let curve = (0..8)
+            .map(|i| {
+                let gate = -1.0 + 0.5 * f64::from(i);
+                simulate_point(&d, Bias { gate, drain: 1.0 })
+            })
+            .collect::<Result<Vec<_>>>()?;
         for w in curve.windows(2) {
             assert!(
                 w[1].current >= w[0].current * 0.999,
@@ -201,8 +181,12 @@ mod tests {
     #[test]
     fn output_curve_saturates() -> Result<()> {
         let d = DeviceSpec::reference(Technology::Igzo).build()?;
-        let drains: Vec<f64> = (1..=10).map(|i| 0.3 * i as f64).collect();
-        let curve = output_curve(&d, 2.5, &drains)?;
+        let curve = (1..=10)
+            .map(|i| {
+                let drain = 0.3 * f64::from(i);
+                simulate_point(&d, Bias { gate: 2.5, drain })
+            })
+            .collect::<Result<Vec<_>>>()?;
         // Monotone non-decreasing.
         for w in curve.windows(2) {
             assert!(w[1].current >= w[0].current * 0.98);

@@ -170,7 +170,7 @@ impl Default for LintConfig {
                     "spice",
                     &["transient", "transient_resuming", "dc_operating_point"],
                 ),
-                ("nn", &["fit"]),
+                ("nn", &["fit", "fit_parallel"]),
                 (
                     "par",
                     &["par_map", "try_par_map", "par_chunks_mut", "par_map_reduce"],

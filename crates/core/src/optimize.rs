@@ -8,10 +8,11 @@
 //!   (fast or traditional) STCO iteration; evaluations are memoized by
 //!   the agent, so the number of expensive runs equals the number of
 //!   distinct corners visited.
-//! * [`explore_with_prescreen`] — a [`SystemSurrogate`] is bootstrapped
-//!   from a few real evaluations, the agent then explores on surrogate
-//!   costs, and only the shortlist of best surrogate corners is
-//!   re-evaluated for real — cutting full evaluations further.
+//! * [`explore_with_prescreen_cached`] — a [`SystemSurrogate`] is
+//!   bootstrapped from a few real evaluations (or loaded from a
+//!   registry), the agent then explores on surrogate costs, and only the
+//!   shortlist of best surrogate corners is re-evaluated for real —
+//!   cutting full evaluations further.
 
 use stco_compact::tech::Corner;
 
@@ -101,23 +102,6 @@ impl Default for PrescreenConfig {
     }
 }
 
-/// Runs the agent on surrogate-predicted costs, then re-evaluates the
-/// shortlist for real and returns the true best.
-///
-/// # Errors
-///
-/// Propagates flow/training failures.
-pub fn explore_with_prescreen(
-    flow: &StcoFlow,
-    space: &DesignSpace,
-    agent: &AgentConfig,
-    stage: TechnologyStage,
-    surrogates: Option<&TrainedSurrogates>,
-    config: &PrescreenConfig,
-) -> Result<OptimizeOutcome> {
-    explore_with_prescreen_cached(flow, space, agent, stage, surrogates, config, None)
-}
-
 /// The artifact cache key of the PPA surrogate a prescreen run trains:
 /// prescreen config + design space + stage + the logic design's
 /// identity. The key does NOT capture the identity of the device/cell
@@ -149,9 +133,10 @@ pub fn prescreen_key(
     )
 }
 
-/// [`explore_with_prescreen`] with an optional artifact cache for the
-/// bootstrapped PPA surrogate: on a cache hit the bootstrap real
-/// evaluations AND the surrogate training are skipped entirely —
+/// Runs the agent on surrogate-predicted costs, then re-evaluates the
+/// shortlist for real and returns the true best. `registry` optionally
+/// caches the bootstrapped PPA surrogate: on a cache hit the bootstrap
+/// real evaluations AND the surrogate training are skipped entirely —
 /// `real_evaluations` drops to the shortlist size.
 ///
 /// # Errors

@@ -15,6 +15,7 @@ use stco_nn::optim::Adam;
 use stco_nn::train::{fit, TrainConfig};
 use stco_nn::Params;
 use stco_numerics::Matrix;
+use stco_surrogate::artifact::{import_weights, pack_model, unpack_model};
 use stco_system::netlist::LogicNetlist;
 use stco_system::ppa::PpaReport;
 
@@ -170,17 +171,12 @@ impl SystemSurrogate {
     /// architecture is fixed (`[7, 32, 32, 3]` tanh), so no config
     /// travels in the header.
     pub fn to_artifact(&self) -> stco_store::Artifact {
-        let mut tensors = self.params.export_tensors();
-        let mut norm_data = Vec::with_capacity(6);
-        for (mean, std) in &self.norms {
-            norm_data.push(*mean);
-            norm_data.push(*std);
-        }
-        tensors.push(Matrix::from_vec(3, 2, norm_data));
-        stco_store::Artifact::new(
+        let norm_data = self.norms.iter().flat_map(|&(mean, std)| [mean, std]);
+        pack_model(
             Self::ARTIFACT_KIND,
-            stco_obs::json::JsonValue::Obj(vec![]),
-            tensors,
+            &[],
+            &self.params,
+            Matrix::from_vec(3, 2, norm_data.collect()),
         )
     }
 
@@ -194,21 +190,9 @@ impl SystemSurrogate {
     pub fn from_artifact(
         artifact: &stco_store::Artifact,
     ) -> std::result::Result<Self, stco_store::StoreError> {
-        artifact.expect_kind(Self::ARTIFACT_KIND)?;
-        let (norms, weights) =
-            artifact
-                .tensors
-                .split_last()
-                .ok_or_else(|| stco_store::StoreError::Header {
-                    context: "system-surrogate artifact holds no tensors".to_string(),
-                })?;
+        let (weights, norms) = unpack_model(artifact, Self::ARTIFACT_KIND)?;
         let mut model = SystemSurrogate::new(0);
-        model
-            .params
-            .import_tensors(weights)
-            .map_err(|e| stco_store::StoreError::Header {
-                context: format!("weight tensors do not fit this architecture: {e}"),
-            })?;
+        import_weights(&mut model.params, weights)?;
         if norms.rows() != 3 || norms.cols() != 2 {
             return Err(stco_store::StoreError::Header {
                 context: format!(

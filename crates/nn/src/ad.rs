@@ -541,14 +541,7 @@ impl Graph {
     pub fn mse_loss(&mut self, pred: NodeId, target: NodeId) -> NodeId {
         let (pv, tv) = (self.value(pred), self.value(target));
         assert_eq!((pv.rows(), pv.cols()), (tv.rows(), tv.cols()));
-        let n = (pv.rows() * pv.cols()) as f64;
-        let loss = pv
-            .as_slice()
-            .iter()
-            .zip(tv.as_slice())
-            .map(|(p, t)| (p - t) * (p - t))
-            .sum::<f64>()
-            / n;
+        let loss = kernels::mse(pv.as_slice(), tv.as_slice());
         let mut out = self.pool.lease_zeroed(1, 1);
         out.set(0, 0, loss);
         self.push(out, Op::MseLoss(pred, target))
@@ -911,6 +904,22 @@ pub mod kernels {
         for (r, &s) in seg.iter().enumerate() {
             out.set(r, 0, exps[r] / seg_sum[s].max(1e-300));
         }
+    }
+
+    /// Mean squared error of `pred` against `target`: the squared
+    /// differences summed in order, then divided by their count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ.
+    pub fn mse(pred: &[f64], target: &[f64]) -> f64 {
+        assert_eq!(pred.len(), target.len(), "one target per prediction");
+        let sum: f64 = pred
+            .iter()
+            .zip(target)
+            .map(|(p, t)| (p - t) * (p - t))
+            .sum();
+        sum / pred.len() as f64
     }
 
     /// Mean of the rows of `x` sharing a segment id, into the zeroed

@@ -1,12 +1,17 @@
-//! Generic training-loop utilities shared by the surrogate pipelines:
-//! epoch iteration with mini-batch shuffling, early stopping on a
-//! validation metric and best-checkpoint tracking.
+//! Training loops: [`fit`], the generic epoch loop with mini-batch
+//! shuffling, early stopping on a validation metric and best-checkpoint
+//! tracking; and [`fit_parallel`], the one training step and validation
+//! loop every graph surrogate runs on top of it.
 
 use stco_numerics::rng::Xorshift;
 use stco_par::ParConfig;
 
 use crate::ad::{Graph, NodeId};
+use crate::optim::Adam;
 use crate::Params;
+
+/// Global gradient-norm bound of every [`fit_parallel`] step.
+pub const GRAD_CLIP_NORM: f64 = 5.0;
 
 /// Configuration of a training run.
 #[derive(Debug, Clone)]
@@ -20,9 +25,6 @@ pub struct TrainConfig {
     /// Stop if validation loss has not improved for this many epochs
     /// (`None` disables early stopping).
     pub patience: Option<usize>,
-    /// Gradient-norm clip applied before each optimizer step (`None`
-    /// disables clipping).
-    pub grad_clip: Option<f64>,
 }
 
 impl Default for TrainConfig {
@@ -32,7 +34,6 @@ impl Default for TrainConfig {
             batch_size: 8,
             seed: 1,
             patience: Some(10),
-            grad_clip: Some(5.0),
         }
     }
 }
@@ -44,7 +45,8 @@ pub struct TrainHistory {
     pub train_loss: Vec<f64>,
     /// Validation loss per epoch (empty if no validation callback).
     pub val_loss: Vec<f64>,
-    /// Epoch index of the best validation loss.
+    /// Epoch whose parameters the run returned: the best validation
+    /// epoch, or the last epoch of a run without validation.
     pub best_epoch: usize,
 }
 
@@ -76,8 +78,9 @@ impl TrainHistory {
 /// returned mean loss) are bitwise identical at every thread count.
 ///
 /// On return `params` holds the *mean* gradient over the batch; the
-/// caller applies clipping and a single optimizer step per batch.
-pub fn parallel_batch_step<F>(
+/// caller applies clipping and a single optimizer step per batch, as
+/// [`fit_parallel`] does.
+pub(crate) fn parallel_batch_step<F>(
     config: ParConfig,
     params: &mut Params,
     batch: &[usize],
@@ -134,7 +137,7 @@ where
 ///   best epoch are restored at the end (checkpointing via `Params` clone).
 ///
 /// Returns the loss history. If `validate` is `None`, the final parameters
-/// are whatever the last epoch produced.
+/// are whatever the last epoch produced, and `best_epoch` is that epoch.
 pub fn fit<FS, FV>(
     params: &mut Params,
     config: &TrainConfig,
@@ -195,6 +198,7 @@ where
                 }
             }
         } else {
+            history.best_epoch = epoch;
             stco_obs::event!("nn.epoch", epoch = epoch, train_loss = mean_loss);
         }
     }
@@ -202,6 +206,46 @@ where
         *params = best;
     }
     history
+}
+
+/// Trains `params` with [`fit`], one step per mini-batch: a
+/// `parallel_batch_step` of `per_sample` at [`ParConfig::current`],
+/// the mean gradient clipped to [`GRAD_CLIP_NORM`], then one Adam step at
+/// `learning_rate`.
+///
+/// `val_loss(params, i)` is the loss of validation item `i`. Each epoch
+/// validates on the mean over `0..num_val`, which picks the checkpoint
+/// the run restores and drives early stopping. With `num_val == 0` the
+/// run does not validate and keeps its last epoch.
+pub fn fit_parallel<FS, FV>(
+    params: &mut Params,
+    config: &TrainConfig,
+    learning_rate: f64,
+    num_items: usize,
+    per_sample: FS,
+    num_val: usize,
+    val_loss: FV,
+) -> TrainHistory
+where
+    FS: Fn(&mut Graph, &Params, usize) -> NodeId + Sync,
+    FV: Fn(&Params, usize) -> f64,
+{
+    let _span = stco_obs::span!("nn.fit_parallel", num_items = num_items, num_val = num_val,);
+    let mut adam = Adam::with_learning_rate(learning_rate);
+    let step = |batch: &[usize], params: &mut Params| {
+        let loss = parallel_batch_step(ParConfig::current(), params, batch, &per_sample);
+        params.clip_grad_norm(GRAD_CLIP_NORM);
+        adam.step(params);
+        loss
+    };
+    let validate = (num_val > 0).then_some(|params: &Params| {
+        let mut total = 0.0;
+        for i in 0..num_val {
+            total += val_loss(params, i);
+        }
+        total / num_val as f64
+    });
+    fit(params, config, num_items, step, validate)
 }
 
 #[cfg(test)]
@@ -245,6 +289,7 @@ mod tests {
             None::<fn(&Params) -> f64>,
         );
         assert_eq!(history.val_loss.len(), 0);
+        assert_eq!(history.best_epoch, 59, "the last epoch is kept");
         assert!(history.final_train_loss() < 0.05 * history.train_loss[0]);
     }
 

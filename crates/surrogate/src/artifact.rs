@@ -1,6 +1,7 @@
-//! Artifact packing shared by the three surrogates.
+//! Artifact packing shared by every `Params`-backed model: the three
+//! surrogates here and stco-core's system surrogate.
 //!
-//! Every `Params`-backed model serializes the same way: the weight
+//! Every such model serializes the same way: the weight
 //! tensors in canonical allocation order (`Params::tensors`), followed
 //! by one extra tensor holding the target-normalization constants, plus
 //! a JSON meta header carrying the architecture config needed to
@@ -14,24 +15,32 @@ use stco_numerics::Matrix;
 use stco_obs::json::JsonValue;
 use stco_store::{Artifact, StoreError};
 
-/// Packs params + a norm tensor + meta into an artifact.
-pub(crate) fn pack_model(
+/// What reading an artifact back yields.
+type StoreResult<T> = std::result::Result<T, StoreError>;
+
+/// Packs params + a norm tensor + meta fields into an artifact.
+pub fn pack_model(
     kind: &str,
-    meta: Vec<(String, JsonValue)>,
+    meta: &[(&str, JsonValue)],
     params: &Params,
     norms: Matrix,
 ) -> Artifact {
     let mut tensors = params.export_tensors();
     tensors.push(norms);
-    Artifact::new(kind, JsonValue::Obj(meta), tensors)
+    let meta = meta.iter().map(|(k, v)| (k.to_string(), v.clone()));
+    Artifact::new(kind, JsonValue::Obj(meta.collect()), tensors)
 }
 
 /// Splits an artifact back into (weight tensors, norm tensor),
 /// checking the kind tag.
-pub(crate) fn unpack_model<'a>(
+///
+/// # Errors
+///
+/// [`StoreError`] for another kind or an artifact with no tensors.
+pub fn unpack_model<'a>(
     artifact: &'a Artifact,
     kind: &str,
-) -> std::result::Result<(&'a [Matrix], &'a Matrix), StoreError> {
+) -> StoreResult<(&'a [Matrix], &'a Matrix)> {
     artifact.expect_kind(kind)?;
     artifact
         .tensors
@@ -44,10 +53,11 @@ pub(crate) fn unpack_model<'a>(
 
 /// Imports weight tensors into a freshly-built model's params,
 /// converting shape/count mismatches into a typed header error.
-pub(crate) fn import_weights(
-    params: &mut Params,
-    weights: &[Matrix],
-) -> std::result::Result<(), StoreError> {
+///
+/// # Errors
+///
+/// [`StoreError::Header`] when the tensors do not fit `params`.
+pub fn import_weights(params: &mut Params, weights: &[Matrix]) -> StoreResult<()> {
     params
         .import_tensors(weights)
         .map_err(|e| StoreError::Header {
@@ -55,8 +65,19 @@ pub(crate) fn import_weights(
         })
 }
 
+/// Reads the `[mean, std]` target normalization of a scalar-target
+/// model from its norm tensor; `model` names it in the error.
+pub(crate) fn norm_pair(norms: &Matrix, model: &str) -> StoreResult<(f64, f64)> {
+    match *norms.as_slice() {
+        [mean, std] => Ok((mean, std)),
+        ref ns => Err(StoreError::Header {
+            context: format!("{model} norm tensor has {} values, want 2", ns.len()),
+        }),
+    }
+}
+
 /// Reads a required meta field as usize (stored as a JSON number).
-pub(crate) fn meta_usize(artifact: &Artifact, key: &str) -> std::result::Result<usize, StoreError> {
+pub(crate) fn meta_usize(artifact: &Artifact, key: &str) -> StoreResult<usize> {
     let v = artifact.meta_f64(key)?;
     if v < 0.0 || v.fract() != 0.0 {
         return Err(StoreError::Header {

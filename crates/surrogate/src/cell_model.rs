@@ -11,14 +11,12 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use stco_cells::encode::{CellGraph, FEATURE_DIM};
-use stco_nn::ad::Graph;
+use stco_nn::ad::{kernels, Graph, NodeId};
 use stco_nn::gnn::{GcnLayer, GraphBatch, GraphData};
 use stco_nn::layers::{Activation, Mlp};
-use stco_nn::optim::Adam;
-use stco_nn::train::{fit, parallel_batch_step, TrainConfig};
+use stco_nn::train::{fit_parallel, TrainConfig};
 use stco_nn::Params;
 use stco_numerics::{CsrMatrix, Matrix};
-use stco_par::ParConfig;
 
 use crate::{Result, SurrogateError};
 
@@ -94,12 +92,15 @@ pub struct CellModel {
 /// block-diagonal normalized adjacency, stacked node features and
 /// per-node graph ids for segment-pooled readout.
 ///
-/// Packing feeds [`CellModel::predict_batch`], which runs the GCN trunk
-/// over the whole union in a few large GEMMs instead of one small GEMM
-/// chain per graph. Because the union adjacency is block-diagonal and
-/// every trunk operation is row-independent (or segment-contiguous), the
-/// batched forward is bitwise-identical to looping
-/// [`CellModel::predict_many`] over the graphs.
+/// This is the one prepared form of a cell graph: every forward of a
+/// [`CellModel`] runs its GCN trunk over one. A training or validation
+/// sample and a [`CellModel::predict_many`] call are batches of one;
+/// [`CellModel::predict_batch`] runs the trunk over the whole union in
+/// a few large GEMMs instead of one small GEMM chain per graph. Because
+/// the union adjacency is block-diagonal and every trunk operation is
+/// row-independent (or segment-contiguous), the batched forward is
+/// bitwise-identical to looping [`CellModel::predict_many`] over the
+/// graphs.
 #[derive(Debug, Clone)]
 pub struct BatchedCellGraph {
     adj: Arc<CsrMatrix>,
@@ -148,38 +149,6 @@ impl BatchedCellGraph {
     pub fn num_graphs(&self) -> usize {
         self.num_graphs
     }
-
-    /// Total node count of the union.
-    pub fn num_nodes(&self) -> usize {
-        self.features.rows()
-    }
-}
-
-struct Prepared {
-    adj: Arc<CsrMatrix>,
-    features: Matrix,
-    seg: Arc<Vec<usize>>,
-    metric: usize,
-    log_value: f64,
-}
-
-fn prepare(sample: &CellSample) -> Prepared {
-    let n = sample.graph.num_nodes();
-    let mut gd = GraphData {
-        node_features: Matrix::from_vec(n, FEATURE_DIM, sample.graph.features.clone()),
-        edges: sample.graph.edges.clone(),
-        edge_features: Matrix::zeros(sample.graph.edges.len(), 0),
-    };
-    // normalized_adjacency adds implicit self-loops itself.
-    let adj = Arc::new(gd.normalized_adjacency());
-    let features = std::mem::take(&mut gd.node_features);
-    Prepared {
-        adj,
-        features,
-        seg: Arc::new(vec![0usize; n]),
-        metric: sample.metric,
-        log_value: sample.value.max(1e-21).log10(),
-    }
 }
 
 impl CellModel {
@@ -223,7 +192,9 @@ impl CellModel {
         self.params.scalar_count()
     }
 
-    /// Trains on the samples (validation optional).
+    /// Trains on `train`, validating on `val` each epoch to pick the
+    /// checkpoint it keeps and to stop early; with an empty `val` the
+    /// run keeps its last epoch.
     ///
     /// # Errors
     ///
@@ -248,61 +219,65 @@ impl CellModel {
         // Per-metric log-target standardization.
         let mut by_metric: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
         for s in train {
-            by_metric
-                .entry(s.metric)
-                .or_default()
-                .push(s.value.max(1e-21).log10());
+            by_metric.entry(s.metric).or_default().push(log_value(s));
         }
         for (m, values) in &by_metric {
             let (mean, std) = stco_numerics::stats::mean_std(values)?;
             self.norms[*m] = (mean, std.max(1e-6));
         }
 
-        let prepared: Vec<Prepared> = train.iter().map(prepare).collect();
-        let val_prepared: Vec<Prepared> = val.iter().map(prepare).collect();
-        let mut adam = Adam::with_learning_rate(self.config.learning_rate);
-        let layers = self.layers.clone();
-        let heads = self.heads.clone();
-        let norms = self.norms.clone();
-
-        let history = fit(
-            &mut self.params,
+        let pack_each = |samples: &[CellSample]| -> Vec<BatchedCellGraph> {
+            samples
+                .iter()
+                .map(|s| BatchedCellGraph::pack(&[&s.graph]))
+                .collect()
+        };
+        let (graphs, val_graphs) = (pack_each(train), pack_each(val));
+        // The forwards below borrow the model, so train a copy of its
+        // weights and install it at the end.
+        let mut params = self.params.clone();
+        let history = fit_parallel(
+            &mut params,
             train_config,
-            prepared.len(),
-            |batch, params| {
-                // Batch-accumulated SGD with deterministic parallel
-                // gradient reduction; one optimizer step per batch.
-                let loss =
-                    parallel_batch_step(ParConfig::current(), params, batch, |g, params, idx| {
-                        let item = &prepared[idx];
-                        let (mean, std) = norms[item.metric];
-                        let pred = forward_one(&layers, &heads, params, item, g);
-                        let t =
-                            g.input(Matrix::from_vec(1, 1, vec![(item.log_value - mean) / std]));
-                        g.mse_loss(pred, t)
-                    });
-                params.clip_grad_norm(5.0);
-                adam.step(params);
-                loss
+            self.config.learning_rate,
+            train.len(),
+            |g, params, i| {
+                let sample = &train[i];
+                let pooled = self.trunk(g, params, &graphs[i]);
+                let pred = self.heads[sample.metric].forward(g, params, pooled);
+                let t = g.input(Matrix::from_vec(1, 1, vec![self.standardize(sample)]));
+                g.mse_loss(pred, t)
             },
-            Some(|params: &Params| {
-                if val_prepared.is_empty() {
-                    return 0.0;
-                }
-                let mut total = 0.0;
-                for item in &val_prepared {
-                    let (mean, std) = norms[item.metric];
-                    let p = Graph::with_scratch(|g| {
-                        let pred = forward_one(&layers, &heads, params, item, g);
-                        g.value(pred).get(0, 0)
-                    });
-                    let t = (item.log_value - mean) / std;
-                    total += (p - t) * (p - t);
-                }
-                total / val_prepared.len() as f64
-            }),
+            val.len(),
+            |params, i| {
+                let sample = &val[i];
+                let pred = Graph::with_scratch(|g| {
+                    let pooled = self.trunk(g, params, &val_graphs[i]);
+                    let pred = self.heads[sample.metric].forward(g, params, pooled);
+                    g.value(pred).get(0, 0)
+                });
+                kernels::mse(&[pred], &[self.standardize(sample)])
+            },
         );
+        self.params = params;
         Ok(history)
+    }
+
+    /// The GCN trunk every forward runs, under `params`: the layers over
+    /// the packed union, then one mean-pooled embedding row per graph.
+    fn trunk(&self, g: &mut Graph, params: &Params, batch: &BatchedCellGraph) -> NodeId {
+        let mut h = g.input(batch.features.clone());
+        for layer in &self.layers {
+            h = layer.forward(g, params, &batch.adj, h);
+        }
+        g.segment_mean(h, Arc::clone(&batch.seg), batch.num_graphs)
+    }
+
+    /// The standardized `log₁₀` target of `sample` under its metric's
+    /// norm: the regression target of training and validation.
+    fn standardize(&self, sample: &CellSample) -> f64 {
+        let (mean, std) = self.norms[sample.metric];
+        (log_value(sample) - mean) / std
     }
 
     /// Predicts a metric value (original units) for an encoded graph.
@@ -311,37 +286,15 @@ impl CellModel {
     }
 
     /// Predicts several metrics for one encoded graph in a single
-    /// forward pass: the GCN trunk and mean-pool run once, then each
-    /// requested head reads the shared pooled embedding. Values are
-    /// bitwise-identical to per-metric [`CellModel::predict`] calls
-    /// (the trunk recomputes to the same bits), at one trunk evaluation
-    /// instead of `metrics.len()`.
+    /// forward pass: [`CellModel::predict_batch`] on a batch of one, so
+    /// the GCN trunk and mean-pool run once and each requested head
+    /// reads the shared pooled embedding. Values are bitwise-identical
+    /// to per-metric [`CellModel::predict`] calls (the trunk recomputes
+    /// to the same bits), at one trunk evaluation instead of
+    /// `metrics.len()`.
     pub fn predict_many(&self, graph: &CellGraph, metrics: &[usize]) -> Vec<f64> {
-        let n = graph.num_nodes();
-        let mut gd = GraphData {
-            node_features: Matrix::from_vec(n, FEATURE_DIM, graph.features.clone()),
-            edges: graph.edges.clone(),
-            edge_features: Matrix::zeros(graph.edges.len(), 0),
-        };
-        let adj = Arc::new(gd.normalized_adjacency());
-        let features = std::mem::take(&mut gd.node_features);
-        let seg = Arc::new(vec![0usize; n]);
-        Graph::with_scratch(|g| {
-            let mut h = g.input(features);
-            for layer in &self.layers {
-                h = layer.forward(g, &self.params, &adj, h);
-            }
-            let pooled = g.segment_mean(h, seg, 1);
-            metrics
-                .iter()
-                .map(|&metric| {
-                    let pred = self.heads[metric].forward(g, &self.params, pooled);
-                    let z = g.value(pred).get(0, 0);
-                    let (mean, std) = self.norms[metric];
-                    10.0_f64.powf(z * std + mean)
-                })
-                .collect()
-        })
+        self.predict_batch(&BatchedCellGraph::pack(&[graph]), &[metrics])
+            .swap_remove(0)
     }
 
     /// Predicts metrics for every graph in a packed batch with one trunk
@@ -371,11 +324,7 @@ impl CellModel {
         needed.sort_unstable();
         needed.dedup();
         Graph::with_scratch(|g| {
-            let mut h = g.input(batch.features.clone());
-            for layer in &self.layers {
-                h = layer.forward(g, &self.params, &batch.adj, h);
-            }
-            let pooled = g.segment_mean(h, Arc::clone(&batch.seg), batch.num_graphs);
+            let pooled = self.trunk(g, &self.params, batch);
             let mut columns: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
             for &metric in &needed {
                 let pred = self.heads[metric].forward(g, &self.params, pooled);
@@ -402,35 +351,20 @@ impl CellModel {
     /// `(mean, std)` norm table as a final `METRICS.len()×2` tensor,
     /// and the architecture config in the meta header.
     pub fn to_artifact(&self) -> stco_store::Artifact {
+        use crate::artifact::{num, pack_model};
         use stco_obs::json::JsonValue;
-        let mut norm_data = Vec::with_capacity(2 * self.norms.len());
-        for (mean, std) in &self.norms {
-            norm_data.push(*mean);
-            norm_data.push(*std);
-        }
-        crate::artifact::pack_model(
+        let norm_data = self.norms.iter().flat_map(|&(mean, std)| [mean, std]);
+        pack_model(
             Self::ARTIFACT_KIND,
-            vec![
-                ("depth".to_string(), crate::artifact::num(self.config.depth)),
-                (
-                    "hidden".to_string(),
-                    crate::artifact::num(self.config.hidden),
-                ),
-                (
-                    "head_hidden".to_string(),
-                    crate::artifact::num(self.config.head_hidden),
-                ),
-                (
-                    "learning_rate".to_string(),
-                    JsonValue::Num(self.config.learning_rate),
-                ),
-                (
-                    "seed".to_string(),
-                    JsonValue::Str(self.config.seed.to_string()),
-                ),
+            &[
+                ("depth", num(self.config.depth)),
+                ("hidden", num(self.config.hidden)),
+                ("head_hidden", num(self.config.head_hidden)),
+                ("learning_rate", JsonValue::Num(self.config.learning_rate)),
+                ("seed", JsonValue::Str(self.config.seed.to_string())),
             ],
             &self.params,
-            stco_numerics::Matrix::from_vec(self.norms.len(), 2, norm_data),
+            Matrix::from_vec(self.norms.len(), 2, norm_data.collect()),
         )
     }
 
@@ -514,19 +448,9 @@ impl CellModel {
     }
 }
 
-fn forward_one(
-    layers: &[GcnLayer],
-    heads: &[Mlp],
-    params: &Params,
-    item: &Prepared,
-    g: &mut Graph,
-) -> stco_nn::ad::NodeId {
-    let mut h = g.input(item.features.clone());
-    for layer in layers {
-        h = layer.forward(g, params, &item.adj, h);
-    }
-    let pooled = g.segment_mean(h, Arc::clone(&item.seg), 1);
-    heads[item.metric].forward(g, params, pooled)
+/// The `log₁₀` of a sample's value, clamped away from zero.
+fn log_value(sample: &CellSample) -> f64 {
+    sample.value.max(1e-21).log10()
 }
 
 #[cfg(test)]
@@ -603,6 +527,33 @@ mod tests {
         assert_eq!(name, "delay");
         assert_eq!(*count, kinds.len() * test_corners.len());
         assert!(*err < 20.0, "MAPE {err:.1}% too high");
+    }
+
+    #[test]
+    fn training_without_validation_keeps_the_last_epoch() -> Result<()> {
+        let grid = stco_compact::tech::CornerGrid::default();
+        let train = synthetic_samples(&[CellKind::Inv, CellKind::Nand2], &grid.corners(2));
+        let run = |epochs| -> Result<(Vec<u64>, usize)> {
+            let mut model = CellModel::new(CellModelConfig::default());
+            let config = TrainConfig {
+                epochs,
+                batch_size: 4,
+                ..TrainConfig::default()
+            };
+            let history = model.train(&train, &[], &config)?;
+            let bits = model
+                .to_artifact()
+                .tensors
+                .iter()
+                .flat_map(|t| t.as_slice().iter().map(|v| v.to_bits()))
+                .collect();
+            Ok((bits, history.best_epoch))
+        };
+        let (one_epoch, _) = run(1)?;
+        let (three_epochs, best_epoch) = run(3)?;
+        assert_eq!(best_epoch, 2, "the last epoch's weights are returned");
+        assert!(one_epoch != three_epochs, "epochs after the first are kept");
+        Ok(())
     }
 
     #[test]

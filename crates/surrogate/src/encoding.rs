@@ -147,12 +147,12 @@ impl DeviceGraph {
     }
 
     /// Source node of every edge.
-    pub(crate) fn src(&self) -> &[usize] {
+    pub(crate) fn src(&self) -> &Arc<Vec<usize>> {
         &self.src
     }
 
     /// Destination node of every edge.
-    pub(crate) fn dst(&self) -> &[usize] {
+    pub(crate) fn dst(&self) -> &Arc<Vec<usize>> {
         &self.dst
     }
 

@@ -9,14 +9,12 @@
 
 use std::sync::Arc;
 
-use stco_nn::ad::{kernels, Graph};
+use stco_nn::ad::kernels;
 use stco_nn::gnn::{EdgeProjections, GraphData, RelGatStack};
 use stco_nn::layers::{Activation, Mlp};
-use stco_nn::optim::Adam;
-use stco_nn::train::{fit, parallel_batch_step, TrainConfig};
+use stco_nn::train::{fit_parallel, TrainConfig};
 use stco_nn::Params;
 use stco_numerics::{stats, Matrix};
-use stco_par::ParConfig;
 use stco_tcad::dataset::DeviceSample;
 
 use crate::encoding::{encode_device, index_lists, DeviceGraph, TaskFeatures, EDGE_DIM, NODE_DIM};
@@ -78,40 +76,6 @@ pub struct IvPredictor {
     target_std: f64,
 }
 
-/// The index lists one forward pass needs beside the graph: edge
-/// endpoints and the all-zero pooling segment.
-struct IvIndex {
-    src: Arc<Vec<usize>>,
-    dst: Arc<Vec<usize>>,
-    seg: Arc<Vec<usize>>,
-}
-
-impl IvIndex {
-    fn of(graph: &GraphData) -> Self {
-        let (src, dst) = index_lists(graph);
-        IvIndex {
-            src,
-            dst,
-            seg: Arc::new(vec![0usize; graph.num_nodes()]),
-        }
-    }
-}
-
-struct EncodedIv {
-    graph: GraphData,
-    index: IvIndex,
-    target: f64,
-}
-
-fn encode(sample: &DeviceSample) -> EncodedIv {
-    let graph = encode_device(sample, TaskFeatures::Iv);
-    EncodedIv {
-        index: IvIndex::of(&graph),
-        graph,
-        target: sample.log_current(),
-    }
-}
-
 impl IvPredictor {
     /// Artifact kind tag for [`IvPredictor::to_artifact`].
     pub const ARTIFACT_KIND: &'static str = "iv-predictor";
@@ -160,7 +124,9 @@ impl IvPredictor {
         &self.config
     }
 
-    /// Trains on the samples, validating each epoch.
+    /// Trains on `train`, validating on `val` each epoch to pick the
+    /// checkpoint it keeps and to stop early; with an empty `val` the
+    /// run keeps its last epoch.
     ///
     /// # Errors
     ///
@@ -181,52 +147,47 @@ impl IvPredictor {
         self.target_mean = mean;
         self.target_std = std.max(1e-9);
 
-        let encoded: Vec<EncodedIv> = train.iter().map(encode).collect();
-        let val_encoded: Vec<EncodedIv> = val.iter().map(encode).collect();
-        let mut adam = Adam::with_learning_rate(self.config.learning_rate);
-        let stack = self.stack.clone();
-        let head = self.head.clone();
-        let (t_mean, t_std) = (self.target_mean, self.target_std);
-
-        let history = fit(
-            &mut self.params,
+        let meshes: Vec<DeviceGraph> = train.iter().map(|s| DeviceGraph::new(&s.device)).collect();
+        let val_meshes: Vec<DeviceGraph> =
+            val.iter().map(|s| DeviceGraph::new(&s.device)).collect();
+        // The forwards below borrow the model, so train a copy of its
+        // weights and install it at the end.
+        let mut params = self.params.clone();
+        let history = fit_parallel(
+            &mut params,
             train_config,
-            encoded.len(),
-            |batch, params| {
-                // Batch-accumulated SGD with deterministic parallel
-                // gradient reduction; one optimizer step per batch.
-                let loss =
-                    parallel_batch_step(ParConfig::current(), params, batch, |g, params, idx| {
-                        let item = &encoded[idx];
-                        let pred = forward_one(&stack, &head, params, &item.graph, &item.index, g);
-                        let t = g.input(stco_numerics::Matrix::from_vec(
-                            1,
-                            1,
-                            vec![(item.target - t_mean) / t_std],
-                        ));
-                        g.mse_loss(pred, t)
-                    });
-                params.clip_grad_norm(5.0);
-                adam.step(params);
-                loss
+            self.config.learning_rate,
+            train.len(),
+            |g, params, i| {
+                let mesh = &meshes[i];
+                let x = g.input(mesh.node_features(&train[i], TaskFeatures::Iv));
+                let e = g.input(mesh.edge_features().clone());
+                let n = mesh.num_nodes();
+                let h = self
+                    .stack
+                    .forward(g, params, x, e, mesh.src(), mesh.dst(), n);
+                let pooled = g.segment_mean(h, Arc::new(vec![0; n]), 1);
+                let pred = self.head.forward(g, params, pooled);
+                let t = g.input(Matrix::from_vec(1, 1, vec![self.standardize(&train[i])]));
+                g.mse_loss(pred, t)
             },
-            Some(|params: &Params| {
-                if val_encoded.is_empty() {
-                    return 0.0;
-                }
-                let mut total = 0.0;
-                for item in &val_encoded {
-                    let p = Graph::with_scratch(|g| {
-                        let pred = forward_one(&stack, &head, params, &item.graph, &item.index, g);
-                        g.value(pred).get(0, 0)
-                    });
-                    let t = (item.target - t_mean) / t_std;
-                    total += (p - t) * (p - t);
-                }
-                total / val_encoded.len() as f64
-            }),
+            val.len(),
+            |params, i| {
+                let mesh = &val_meshes[i];
+                let edges = self.stack.project_edges(params, mesh.edge_features());
+                let nodes = mesh.node_features(&val[i], TaskFeatures::Iv);
+                let pred = self.standardized(params, &nodes, mesh.src(), mesh.dst(), &edges);
+                kernels::mse(&[pred], &[self.standardize(&val[i])])
+            },
         );
+        self.params = params;
         Ok(history)
+    }
+
+    /// The standardized `log₁₀|I_D|` of `sample`: the regression target
+    /// of training and validation.
+    fn standardize(&self, sample: &DeviceSample) -> f64 {
+        (sample.log_current() - self.target_mean) / self.target_std
     }
 
     /// Predicts `log₁₀|I_D|` for one sample.
@@ -265,45 +226,46 @@ impl IvPredictor {
         self.infer(nodes, mesh.src(), mesh.dst(), edges)
     }
 
-    /// The off-tape forward every prediction runs: the stack, mean
-    /// pooling over all nodes (the tape's `segment_mean` kernel with
-    /// one segment), then the MLP head.
+    /// The `log₁₀|I_D|` the trained weights predict.
     fn infer(&self, nodes: &Matrix, src: &[usize], dst: &[usize], edges: &EdgeProjections) -> f64 {
-        let h = self.stack.infer(&self.params, nodes, src, dst, edges);
+        self.standardized(&self.params, nodes, src, dst, edges) * self.target_std + self.target_mean
+    }
+
+    /// The off-tape forward every prediction and every validation runs,
+    /// under `params`: the stack, mean pooling over all nodes (the tape's
+    /// `segment_mean` kernel with one segment), then the MLP head, giving
+    /// the standardized `log₁₀|I_D|`.
+    fn standardized(
+        &self,
+        params: &Params,
+        nodes: &Matrix,
+        src: &[usize],
+        dst: &[usize],
+        edges: &EdgeProjections,
+    ) -> f64 {
+        let h = self.stack.infer(params, nodes, src, dst, edges);
         let mut pooled = Matrix::zeros(1, h.cols());
         kernels::segment_mean(&h, &vec![0; h.rows()], &mut pooled);
-        let pred = self.head.infer(&self.params, pooled);
-        pred.get(0, 0) * self.target_std + self.target_mean
+        self.head.infer(params, pooled).get(0, 0)
     }
 
     /// Serializes the trained model into an artifact of kind
     /// `"iv-predictor"` (weights + normalization + architecture).
     pub fn to_artifact(&self) -> stco_store::Artifact {
+        use crate::artifact::{num, pack_model};
         use stco_obs::json::JsonValue;
-        crate::artifact::pack_model(
+        pack_model(
             Self::ARTIFACT_KIND,
-            vec![
-                ("depth".to_string(), crate::artifact::num(self.config.depth)),
-                ("heads".to_string(), crate::artifact::num(self.config.heads)),
-                (
-                    "head_dim".to_string(),
-                    crate::artifact::num(self.config.head_dim),
-                ),
-                (
-                    "mlp_hidden".to_string(),
-                    crate::artifact::num(self.config.mlp_hidden),
-                ),
-                (
-                    "learning_rate".to_string(),
-                    JsonValue::Num(self.config.learning_rate),
-                ),
-                (
-                    "seed".to_string(),
-                    JsonValue::Str(self.config.seed.to_string()),
-                ),
+            &[
+                ("depth", num(self.config.depth)),
+                ("heads", num(self.config.heads)),
+                ("head_dim", num(self.config.head_dim)),
+                ("mlp_hidden", num(self.config.mlp_hidden)),
+                ("learning_rate", JsonValue::Num(self.config.learning_rate)),
+                ("seed", JsonValue::Str(self.config.seed.to_string())),
             ],
             &self.params,
-            stco_numerics::Matrix::from_vec(1, 2, vec![self.target_mean, self.target_std]),
+            Matrix::from_vec(1, 2, vec![self.target_mean, self.target_std]),
         )
     }
 
@@ -328,14 +290,7 @@ impl IvPredictor {
         };
         let mut model = IvPredictor::new(config);
         crate::artifact::import_weights(&mut model.params, weights)?;
-        let ns = norms.as_slice();
-        if ns.len() != 2 {
-            return Err(stco_store::StoreError::Header {
-                context: format!("iv norm tensor has {} values, want 2", ns.len()),
-            });
-        }
-        model.target_mean = ns[0];
-        model.target_std = ns[1];
+        (model.target_mean, model.target_std) = crate::artifact::norm_pair(norms, "iv")?;
         Ok(model)
     }
 
@@ -374,23 +329,6 @@ impl IvPredictor {
 /// The drain-current magnitude, A, of a predicted `log₁₀|I_D|`.
 pub fn current_from_log(log_current: f64) -> f64 {
     10.0_f64.powf(log_current)
-}
-
-/// One forward pass over a borrowed graph: its two feature matrices are
-/// the only data copied (onto the tape).
-fn forward_one(
-    stack: &RelGatStack,
-    head: &Mlp,
-    params: &Params,
-    graph: &GraphData,
-    index: &IvIndex,
-    g: &mut Graph,
-) -> stco_nn::ad::NodeId {
-    let x = g.input(graph.node_features.clone());
-    let e = g.input(graph.edge_features.clone());
-    let h = stack.forward(g, params, x, e, &index.src, &index.dst, graph.num_nodes());
-    let pooled = g.segment_mean(h, Arc::clone(&index.seg), 1);
-    head.forward(g, params, pooled)
 }
 
 #[cfg(test)]

@@ -14,8 +14,10 @@
 //!   Table III encoding.
 //! * [`pipeline`] — dataset assembly, training loops and the metric
 //!   reports behind Tables II and IV.
+//! * [`artifact`] — the weights-plus-norms artifact layout every model
+//!   stores itself in.
 
-mod artifact;
+pub mod artifact;
 pub mod cell_model;
 pub mod encoding;
 pub mod iv_predictor;

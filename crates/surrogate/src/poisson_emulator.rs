@@ -7,16 +7,12 @@
 //! width are configurable so scaled-down reproductions state their
 //! configuration explicitly.
 
-use std::sync::Arc;
-
-use stco_nn::ad::Graph;
+use stco_nn::ad::kernels;
 use stco_nn::gnn::{EdgeProjections, GraphData, RelGatStack};
 use stco_nn::layers::{Activation, Mlp};
-use stco_nn::optim::Adam;
-use stco_nn::train::{fit, parallel_batch_step, TrainConfig};
+use stco_nn::train::{fit_parallel, TrainConfig};
 use stco_nn::Params;
 use stco_numerics::{stats, Matrix};
-use stco_par::ParConfig;
 use stco_tcad::dataset::DeviceSample;
 
 use crate::encoding::{
@@ -75,28 +71,6 @@ pub struct PoissonEmulator {
     target_std: f64,
 }
 
-/// One pre-encoded training item.
-pub struct EncodedDevice {
-    graph: GraphData,
-    src: Arc<Vec<usize>>,
-    dst: Arc<Vec<usize>>,
-    targets: stco_numerics::Matrix,
-}
-
-impl EncodedDevice {
-    /// Encodes a sample for the Poisson task.
-    pub fn from_sample(sample: &DeviceSample) -> Self {
-        let graph = encode_device(sample, TaskFeatures::Poisson);
-        let (src, dst) = index_lists(&graph);
-        EncodedDevice {
-            graph,
-            src,
-            dst,
-            targets: potential_targets(sample),
-        }
-    }
-}
-
 impl PoissonEmulator {
     /// Artifact kind tag for [`PoissonEmulator::to_artifact`].
     pub const ARTIFACT_KIND: &'static str = "poisson-emulator";
@@ -134,7 +108,9 @@ impl PoissonEmulator {
         &self.config
     }
 
-    /// Trains on the given samples with validation-based checkpointing.
+    /// Trains on `train`, validating on `val` each epoch to pick the
+    /// checkpoint it keeps and to stop early; with an empty `val` the
+    /// run keeps its last epoch.
     ///
     /// # Errors
     ///
@@ -159,59 +135,50 @@ impl PoissonEmulator {
         self.target_mean = mean;
         self.target_std = std.max(1e-9);
 
-        let encoded: Vec<EncodedDevice> = train.iter().map(EncodedDevice::from_sample).collect();
-        let val_encoded: Vec<EncodedDevice> = val.iter().map(EncodedDevice::from_sample).collect();
-
-        let mut adam = Adam::with_learning_rate(self.config.learning_rate);
-        let stack = self.stack.clone();
-        let head = self.head.clone();
-        let (t_mean, t_std) = (self.target_mean, self.target_std);
-        let history = fit(
-            &mut self.params,
+        let meshes: Vec<DeviceGraph> = train.iter().map(|s| DeviceGraph::new(&s.device)).collect();
+        let val_meshes: Vec<DeviceGraph> =
+            val.iter().map(|s| DeviceGraph::new(&s.device)).collect();
+        // The forwards below borrow the model, so train a copy of its
+        // weights and install it at the end.
+        let mut params = self.params.clone();
+        let history = fit_parallel(
+            &mut params,
             train_config,
-            encoded.len(),
-            |batch, params| {
-                // Batch-accumulated SGD: samples run forward/backward in
-                // parallel, gradients merge deterministically, then one
-                // optimizer step per batch.
-                let loss =
-                    parallel_batch_step(ParConfig::current(), params, batch, |g, params, idx| {
-                        let item = &encoded[idx];
-                        let x = g.input(item.graph.node_features.clone());
-                        let e = g.input(item.graph.edge_features.clone());
-                        let mut t = item.targets.clone();
-                        for v in t.as_mut_slice() {
-                            *v = (*v - t_mean) / t_std;
-                        }
-                        let ti = g.input(t);
-                        let h = stack.forward(
-                            g,
-                            params,
-                            x,
-                            e,
-                            &item.src,
-                            &item.dst,
-                            item.graph.num_nodes(),
-                        );
-                        let pred = head.forward(g, params, h);
-                        g.mse_loss(pred, ti)
-                    });
-                params.clip_grad_norm(5.0);
-                adam.step(params);
-                loss
+            self.config.learning_rate,
+            train.len(),
+            |g, params, i| {
+                let mesh = &meshes[i];
+                let x = g.input(mesh.node_features(&train[i], TaskFeatures::Poisson));
+                let e = g.input(mesh.edge_features().clone());
+                let t = g.input(self.standardized_targets(&train[i]));
+                let h =
+                    self.stack
+                        .forward(g, params, x, e, mesh.src(), mesh.dst(), mesh.num_nodes());
+                let pred = self.head.forward(g, params, h);
+                g.mse_loss(pred, t)
             },
-            Some(|params: &Params| {
-                if val_encoded.is_empty() {
-                    return 0.0;
-                }
-                let mut total = 0.0;
-                for item in &val_encoded {
-                    total += eval_item(&stack, &head, params, item, t_mean, t_std).0;
-                }
-                total / val_encoded.len() as f64
-            }),
+            val.len(),
+            |params, i| {
+                let mesh = &val_meshes[i];
+                let edges = self.stack.project_edges(params, mesh.edge_features());
+                let nodes = mesh.node_features(&val[i], TaskFeatures::Poisson);
+                let pred = self.standardized(params, &nodes, mesh.src(), mesh.dst(), &edges);
+                let t = self.standardized_targets(&val[i]);
+                kernels::mse(pred.as_slice(), t.as_slice())
+            },
         );
+        self.params = params;
         Ok(history)
+    }
+
+    /// The potential map of `sample` in standardized units: the
+    /// regression target of training and validation.
+    fn standardized_targets(&self, sample: &DeviceSample) -> Matrix {
+        let mut t = potential_targets(sample);
+        for v in t.as_mut_slice() {
+            *v = (*v - self.target_mean) / self.target_std;
+        }
+        t
     }
 
     /// Predicts the potential map of one sample (volts).
@@ -250,7 +217,7 @@ impl PoissonEmulator {
         self.infer(nodes, mesh.src(), mesh.dst(), edges)
     }
 
-    /// The off-tape forward every prediction runs.
+    /// The potential map, in volts, the trained weights predict.
     fn infer(
         &self,
         nodes: &Matrix,
@@ -258,39 +225,44 @@ impl PoissonEmulator {
         dst: &[usize],
         edges: &EdgeProjections,
     ) -> Vec<f64> {
-        let h = self.stack.infer(&self.params, nodes, src, dst, edges);
-        let pred = self.head.infer(&self.params, h);
+        let pred = self.standardized(&self.params, nodes, src, dst, edges);
         pred.as_slice()
             .iter()
             .map(|v| v * self.target_std + self.target_mean)
             .collect()
     }
 
+    /// The off-tape forward every prediction and every validation runs:
+    /// one standardized potential per node, under `params`.
+    fn standardized(
+        &self,
+        params: &Params,
+        nodes: &Matrix,
+        src: &[usize],
+        dst: &[usize],
+        edges: &EdgeProjections,
+    ) -> Matrix {
+        let h = self.stack.infer(params, nodes, src, dst, edges);
+        self.head.infer(params, h)
+    }
+
     /// Serializes the trained model (weights + target normalization +
     /// architecture config) into a [`stco_store::Artifact`] of kind
     /// `"poisson-emulator"`.
     pub fn to_artifact(&self) -> stco_store::Artifact {
+        use crate::artifact::{num, pack_model};
         use stco_obs::json::JsonValue;
-        crate::artifact::pack_model(
+        pack_model(
             Self::ARTIFACT_KIND,
-            vec![
-                ("depth".to_string(), crate::artifact::num(self.config.depth)),
-                ("heads".to_string(), crate::artifact::num(self.config.heads)),
-                (
-                    "head_dim".to_string(),
-                    crate::artifact::num(self.config.head_dim),
-                ),
-                (
-                    "learning_rate".to_string(),
-                    JsonValue::Num(self.config.learning_rate),
-                ),
-                (
-                    "seed".to_string(),
-                    JsonValue::Str(self.config.seed.to_string()),
-                ),
+            &[
+                ("depth", num(self.config.depth)),
+                ("heads", num(self.config.heads)),
+                ("head_dim", num(self.config.head_dim)),
+                ("learning_rate", JsonValue::Num(self.config.learning_rate)),
+                ("seed", JsonValue::Str(self.config.seed.to_string())),
             ],
             &self.params,
-            stco_numerics::Matrix::from_vec(1, 2, vec![self.target_mean, self.target_std]),
+            Matrix::from_vec(1, 2, vec![self.target_mean, self.target_std]),
         )
     }
 
@@ -317,14 +289,7 @@ impl PoissonEmulator {
         };
         let mut model = PoissonEmulator::new(config);
         crate::artifact::import_weights(&mut model.params, weights)?;
-        let ns = norms.as_slice();
-        if ns.len() != 2 {
-            return Err(stco_store::StoreError::Header {
-                context: format!("poisson norm tensor has {} values, want 2", ns.len()),
-            });
-        }
-        model.target_mean = ns[0];
-        model.target_std = ns[1];
+        (model.target_mean, model.target_std) = crate::artifact::norm_pair(norms, "poisson")?;
         Ok(model)
     }
 
@@ -360,37 +325,6 @@ impl PoissonEmulator {
             count: targets.len(),
         })
     }
-}
-
-fn eval_item(
-    stack: &RelGatStack,
-    head: &Mlp,
-    params: &Params,
-    item: &EncodedDevice,
-    t_mean: f64,
-    t_std: f64,
-) -> (f64, usize) {
-    Graph::with_scratch(|g| {
-        let x = g.input(item.graph.node_features.clone());
-        let e = g.input(item.graph.edge_features.clone());
-        let mut t = item.targets.clone();
-        for v in t.as_mut_slice() {
-            *v = (*v - t_mean) / t_std;
-        }
-        let ti = g.input(t);
-        let h = stack.forward(
-            g,
-            params,
-            x,
-            e,
-            &item.src,
-            &item.dst,
-            item.graph.num_nodes(),
-        );
-        let pred = head.forward(g, params, h);
-        let loss = g.mse_loss(pred, ti);
-        (g.value(loss).get(0, 0), item.graph.num_nodes())
-    })
 }
 
 /// MSE/R² pair over a dataset (normalized-target units, as Table II).

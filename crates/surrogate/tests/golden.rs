@@ -4,11 +4,18 @@
 //! devices at two biases each; and seeded untrained cell models on
 //! encoded INV, NAND2 and DFF graphs at two corners. A change to any
 //! encoded feature or any predicted value, down to one bit, fails here.
+//!
+//! The trainer goldens pin each model's training on those same devices
+//! and graphs: the trained weights, the loss history and the restored
+//! epoch, for a full run and for one that early stopping cuts short.
 
 use stco_cells::encode::{encode_cell, CellGraph, EncodingContext};
 use stco_cells::library::{CellKind, CellType};
 use stco_compact::tech::{Corner, TechnologyCard};
-use stco_surrogate::cell_model::{BatchedCellGraph, CellModel, CellModelConfig, METRICS};
+use stco_nn::train::{TrainConfig, TrainHistory};
+use stco_surrogate::cell_model::{
+    BatchedCellGraph, CellModel, CellModelConfig, CellSample, METRICS,
+};
 use stco_surrogate::encoding::{encode_device, TaskFeatures};
 use stco_surrogate::iv_predictor::{IvConfig, IvPredictor};
 use stco_surrogate::poisson_emulator::{PoissonConfig, PoissonEmulator};
@@ -91,6 +98,27 @@ const GOLDEN_CELL_MANY: [(&str, usize, u64); 6] = [
 /// Fingerprint of the two cell models' `predict_batch` outputs over all
 /// six graphs packed into one batch, all nine metrics each.
 const GOLDEN_CELL_BATCH: u64 = 0xca4554b016cba744;
+
+/// `(run, best epoch, weights fingerprint, history fingerprint)` of a
+/// trained model: every `to_artifact` tensor, then the train- and
+/// val-loss trajectories. `full` runs every epoch; `stopped` is cut
+/// short by its patience and restores an earlier epoch.
+type TrainedRow = (&'static str, usize, u64, u64);
+
+const GOLDEN_TRAINED_POISSON: [TrainedRow; 2] = [
+    ("full", 1, 0x49314736267e74e2, 0x325ec0f565f0ec61),
+    ("stopped", 3, 0x548360a19d6e2abe, 0xab32ad5fdcfb2953),
+];
+
+const GOLDEN_TRAINED_IV: [TrainedRow; 2] = [
+    ("full", 3, 0x5af50f9fa0cb5cb5, 0xd1c2d4aaae9243fb),
+    ("stopped", 4, 0x0a1b6502279dcf72, 0x510c6e672823d995),
+];
+
+const GOLDEN_TRAINED_CELL: [TrainedRow; 2] = [
+    ("full", 5, 0xd6053ddd8d9d2edd, 0x2039138756b44695),
+    ("stopped", 4, 0x18958841a92f49d9, 0x2384cb216710e15e),
+];
 
 const TECHNOLOGIES: [(Technology, &str); 3] = [
     (Technology::Cnt, "CNT"),
@@ -338,4 +366,170 @@ fn batched_cell_predictions_match_golden_fingerprint() {
         .collect();
     let got = fnv1a(value_bytes(&values));
     assert_eq!(got, GOLDEN_CELL_BATCH, "fingerprint now: {got:#018x}");
+}
+
+/// The full run's schedule and the early-stopped run's, whose patience
+/// of one epoch ends it at the first epoch that does not improve the
+/// validation loss (each test's learning rate makes that come early).
+fn train_configs(full_epochs: usize) -> [(&'static str, TrainConfig); 2] {
+    [
+        (
+            "full",
+            TrainConfig {
+                epochs: full_epochs,
+                batch_size: 2,
+                patience: None,
+                ..TrainConfig::default()
+            },
+        ),
+        (
+            "stopped",
+            TrainConfig {
+                epochs: 12,
+                batch_size: 2,
+                patience: Some(1),
+                seed: 3,
+            },
+        ),
+    ]
+}
+
+fn trained_row(
+    run: &'static str,
+    artifact: &stco_store::Artifact,
+    history: &TrainHistory,
+) -> TrainedRow {
+    let weights = artifact
+        .tensors
+        .iter()
+        .flat_map(|t| value_bytes(t.as_slice()));
+    let losses = value_bytes(&history.train_loss).chain(value_bytes(&history.val_loss));
+    (run, history.best_epoch, fnv1a(weights), fnv1a(losses))
+}
+
+/// Checks that the `stopped` run really stopped early and restored an
+/// earlier epoch, so its row pins the checkpoint restore.
+fn assert_restored(run: &str, config: &TrainConfig, history: &TrainHistory) {
+    if run == "stopped" {
+        assert!(
+            history.val_loss.len() < config.epochs
+                && history.best_epoch + 1 < history.val_loss.len(),
+            "the stopped run must stop early and restore an earlier epoch: {history:?}"
+        );
+    }
+}
+
+fn trained_table(rows: &[TrainedRow]) -> String {
+    rows.iter()
+        .map(|(run, best, w, h)| format!("    ({run:?}, {best}, {w:#018x}, {h:#018x}),\n"))
+        .collect()
+}
+
+/// Four reference devices to train on (CNT and LTPS) and two to
+/// validate on (IGZO).
+fn device_split() -> (Vec<DeviceSample>, Vec<DeviceSample>) {
+    let mut samples: Vec<DeviceSample> = devices().into_iter().map(|(_, _, s)| s).collect();
+    let val = samples.split_off(4);
+    (samples, val)
+}
+
+#[test]
+fn trained_poisson_emulators_match_golden_fingerprints() {
+    let (train, val) = device_split();
+    let got: Vec<TrainedRow> = train_configs(4)
+        .into_iter()
+        .map(|(run, config)| {
+            let mut model = PoissonEmulator::new(PoissonConfig {
+                depth: 2,
+                heads: 2,
+                head_dim: 4,
+                learning_rate: 2.0e-2,
+                seed: 9,
+            });
+            let history = model.train(&train, &val, &config).expect("trains");
+            assert_restored(run, &config, &history);
+            trained_row(run, &model.to_artifact(), &history)
+        })
+        .collect();
+    assert_eq!(
+        got,
+        GOLDEN_TRAINED_POISSON,
+        "fingerprints now:\n{}",
+        trained_table(&got)
+    );
+}
+
+#[test]
+fn trained_iv_predictors_match_golden_fingerprints() {
+    let (train, val) = device_split();
+    let got: Vec<TrainedRow> = train_configs(4)
+        .into_iter()
+        .map(|(run, config)| {
+            let mut model = IvPredictor::new(IvConfig {
+                depth: 2,
+                head_dim: 8,
+                mlp_hidden: 12,
+                learning_rate: 5.0e-3,
+                ..IvConfig::default()
+            });
+            let history = model.train(&train, &val, &config).expect("trains");
+            assert_restored(run, &config, &history);
+            trained_row(run, &model.to_artifact(), &history)
+        })
+        .collect();
+    assert_eq!(
+        got,
+        GOLDEN_TRAINED_IV,
+        "fingerprints now:\n{}",
+        trained_table(&got)
+    );
+}
+
+/// Delay, capacitance and leakage samples of every cell graph, with
+/// values that grow with the graph's size and differ per corner: the
+/// nominal corner's graphs train, the shifted corner's validate.
+fn cell_split() -> (Vec<CellSample>, Vec<CellSample>) {
+    let (mut train, mut val) = (Vec::new(), Vec::new());
+    for (_, k, graph) in cell_graphs() {
+        let size = graph.num_nodes() as f64;
+        for (metric, unit) in [(0, 1.0e-10), (2, 1.0e-15), (5, 1.0e-9)] {
+            let sample = CellSample {
+                graph: graph.clone(),
+                metric,
+                value: unit * size * (1.0 + 0.7 * k as f64),
+            };
+            if k == 0 {
+                train.push(sample);
+            } else {
+                val.push(sample);
+            }
+        }
+    }
+    (train, val)
+}
+
+#[test]
+fn trained_cell_models_match_golden_fingerprints() {
+    let (train, val) = cell_split();
+    let got: Vec<TrainedRow> = train_configs(6)
+        .into_iter()
+        .map(|(run, config)| {
+            let mut model = CellModel::new(CellModelConfig {
+                depth: 2,
+                hidden: 16,
+                head_hidden: 8,
+                learning_rate: 5.0e-2,
+                seed: 5,
+            });
+            let history = model.train(&train, &val, &config).expect("trains");
+            assert_restored(run, &config, &history);
+            trained_row(run, &model.to_artifact(), &history)
+        })
+        .collect();
+    assert_eq!(
+        got,
+        GOLDEN_TRAINED_CELL,
+        "fingerprints now:\n{}",
+        trained_table(&got)
+    );
 }

@@ -42,14 +42,10 @@ fn bench_cellchar(c: &mut Criterion) {
         .expect("trains");
 
     let built = cell.build(&card, 1.0);
-    let mut ctx = EncodingContext::default();
-    for pin in &cell.inputs {
-        ctx.input_slew.insert((*pin).to_string(), 2.0e-9);
-        ctx.current_state.insert((*pin).to_string(), 0.0);
-        ctx.next_state.insert((*pin).to_string(), 1.0);
-    }
-    ctx.output_load.insert("Y".to_string(), 10.0e-15);
-    let graph = encode_cell(&built, &ctx);
+    let graph = encode_cell(
+        &built,
+        &EncodingContext::all_rising(&cell, 2.0e-9, 10.0e-15),
+    );
     let m_delay = metric_index("delay").expect("known");
 
     let mut group = c.benchmark_group("cellchar_vs_gnn");

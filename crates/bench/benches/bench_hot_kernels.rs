@@ -5,9 +5,9 @@
 //! the kind the Liberty bisection searches replay thousands of times.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use stco_cells::encode::{encode_cell, CellGraph, EncodingContext};
-use stco_cells::library::{CellKind, CellType};
-use stco_compact::tech::{CornerGrid, TechnologyCard};
+use stco_bench::encoded_graphs;
+use stco_cells::encode::CellGraph;
+use stco_compact::tech::TechnologyCard;
 use stco_numerics::dense::{LuFactors, Matrix};
 use stco_numerics::rng::Xorshift;
 use stco_spice::analysis::TranConfig;
@@ -154,39 +154,6 @@ fn bench_attention_score(c: &mut Criterion) {
         })
     });
     group.finish();
-}
-
-/// Encodes one cell graph per (kind, corner) pair, cycling until `n`
-/// graphs exist — the inference population the serving path batches.
-fn encoded_graphs(n: usize) -> Vec<CellGraph> {
-    let base = TechnologyCard::reference(Technology::Ltps);
-    let corners = CornerGrid::default().corners(4);
-    let kinds = [CellKind::Inv, CellKind::Nand2, CellKind::Nor2];
-    let mut out = Vec::with_capacity(n);
-    'outer: loop {
-        for &kind in &kinds {
-            let cell = CellType::by_kind(kind);
-            for corner in &corners {
-                if out.len() == n {
-                    break 'outer;
-                }
-                let card = base.at_corner(*corner);
-                let built = cell.build(&card, 1.0);
-                let mut ctx = EncodingContext::default();
-                for pin in &cell.inputs {
-                    ctx.input_slew.insert((*pin).to_string(), 2.0e-9);
-                    ctx.current_state.insert((*pin).to_string(), 0.0);
-                    ctx.next_state.insert((*pin).to_string(), 1.0);
-                }
-                for pin in &cell.outputs {
-                    ctx.output_load
-                        .insert((*pin).to_string(), 10.0e-15 * corner.cox_scale);
-                }
-                out.push(encode_cell(&built, &ctx));
-            }
-        }
-    }
-    out
 }
 
 fn bench_batched_forward(c: &mut Criterion) {

@@ -12,13 +12,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use stco_nn::ad::Graph;
-use stco_nn::gnn::RelGatStack;
+use stco_nn::gnn::{edge_index_lists, RelGatStack};
 use stco_nn::layers::{Activation, Mlp};
 use stco_nn::train::TrainConfig;
 use stco_nn::Params;
-use stco_surrogate::encoding::{
-    encode_device, index_lists, DeviceGraph, TaskFeatures, EDGE_DIM, NODE_DIM,
-};
+use stco_surrogate::encoding::{encode_device, DeviceGraph, TaskFeatures, EDGE_DIM, NODE_DIM};
 use stco_surrogate::poisson_emulator::{PoissonConfig, PoissonEmulator};
 use stco_tcad::dataset::{generate_dataset, DeviceSample};
 use stco_tcad::device::{Bias, DeviceSpec};
@@ -86,7 +84,7 @@ fn bench_tcad_vs_gnn(c: &mut Criterion) {
     let stack = RelGatStack::new(&mut params, NODE_DIM, EDGE_DIM, 8, 1, 2);
     let head = Mlp::new(&mut params, &[8, 8, 1], Activation::Elu);
     let graph = encode_device(&ltps, TaskFeatures::Poisson);
-    let (src, dst) = index_lists(&graph);
+    let (src, dst) = edge_index_lists(&graph.edges);
     group.bench_function("relgat_tape_forward_pre_encoded", |b| {
         b.iter(|| {
             Graph::with_scratch(|g| {

@@ -15,9 +15,9 @@
 
 use std::time::Instant;
 
-use stco_bench::{banner, fmt_seconds, paper_scale, TraceSession};
+use stco_bench::{banner, encoded_graphs, fmt_seconds, paper_scale, TraceSession};
 use stco_cells::charac::CharConfig;
-use stco_cells::encode::{encode_cell, CellGraph, EncodingContext};
+use stco_cells::encode::CellGraph;
 use stco_compact::tech::Corner;
 use stco_core::flow::StageSeconds;
 use stco_core::flow::{FlowConfig, IterationResult, StcoFlow, TechnologyStage, TrainedSurrogates};
@@ -119,43 +119,6 @@ fn time_kernel<T>(
         optimized_seconds,
         identical_outputs: identical,
     }
-}
-
-/// Encodes cell graphs for the batched-forward kernel row, cycling
-/// (kind, corner) pairs until `n` graphs exist.
-fn encoded_graphs(n: usize) -> Vec<CellGraph> {
-    let base = stco_compact::tech::TechnologyCard::reference(Technology::Ltps);
-    let corners = stco_compact::tech::CornerGrid::default().corners(4);
-    let kinds = [
-        stco_cells::library::CellKind::Inv,
-        stco_cells::library::CellKind::Nand2,
-        stco_cells::library::CellKind::Nor2,
-    ];
-    let mut out = Vec::with_capacity(n);
-    'outer: loop {
-        for &kind in &kinds {
-            let cell = stco_cells::library::CellType::by_kind(kind);
-            for corner in &corners {
-                if out.len() == n {
-                    break 'outer;
-                }
-                let card = base.at_corner(*corner);
-                let built = cell.build(&card, 1.0);
-                let mut ctx = EncodingContext::default();
-                for pin in &cell.inputs {
-                    ctx.input_slew.insert((*pin).to_string(), 2.0e-9);
-                    ctx.current_state.insert((*pin).to_string(), 0.0);
-                    ctx.next_state.insert((*pin).to_string(), 1.0);
-                }
-                for pin in &cell.outputs {
-                    ctx.output_load
-                        .insert((*pin).to_string(), 10.0e-15 * corner.cox_scale);
-                }
-                out.push(encode_cell(&built, &ctx));
-            }
-        }
-    }
-    out
 }
 
 /// Measures the two tentpole kernel optimizations at their serving

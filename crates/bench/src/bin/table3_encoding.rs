@@ -33,16 +33,10 @@ fn main() {
     for kind in [CellKind::Inv, CellKind::Nand2] {
         let cell = CellType::by_kind(kind);
         let built = cell.build(&card, 1.0);
-        let mut ctx = EncodingContext::default();
-        for pin in &cell.inputs {
-            ctx.current_state.insert((*pin).to_string(), 0.0);
-            ctx.next_state.insert((*pin).to_string(), 1.0);
-            ctx.input_slew.insert((*pin).to_string(), 2.0e-9);
-        }
-        for pin in &cell.outputs {
-            ctx.output_load.insert((*pin).to_string(), 10.0e-15);
-        }
-        let graph = encode_cell(&built, &ctx);
+        let graph = encode_cell(
+            &built,
+            &EncodingContext::all_rising(&cell, 2.0e-9, 10.0e-15),
+        );
         banner(&format!("{} feature matrix", cell.name));
         print!("{:<16}", "node");
         for i in 0..FEATURE_NAMES.len() {

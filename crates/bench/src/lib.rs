@@ -13,7 +13,11 @@ pub mod load_curve;
 use std::path::PathBuf;
 
 use stco_cells::charac::CharConfig;
+use stco_cells::encode::{encode_cell, CellGraph, EncodingContext};
+use stco_cells::library::{CellKind, CellType};
+use stco_compact::tech::{Corner, CornerGrid, TechnologyCard};
 use stco_obs::{JsonlSink, Profile, Recorder, RingBufferHandle, RingBufferSink};
+use stco_tcad::materials::Technology;
 
 /// Whether the expensive "paper-scale" mode was requested.
 pub fn paper_scale() -> bool {
@@ -142,6 +146,30 @@ pub fn bench_char_config() -> CharConfig {
         samples: 200,
         max_leakage_states: 2,
     }
+}
+
+/// `n` cell graphs for the batched-forward kernels, the inference
+/// population the serving path batches: INV, NAND2 and NOR2 on the LTPS
+/// reference card at each corner of a 4-level default [`CornerGrid`],
+/// every input rising at 2 ns into a 10 fF load scaled by the corner's
+/// C_ox, cycling through the (cell, corner) pairs until `n` exist.
+pub fn encoded_graphs(n: usize) -> Vec<CellGraph> {
+    let base = TechnologyCard::reference(Technology::Ltps);
+    let corners = CornerGrid::default().corners(4);
+    let pairs: Vec<(CellType, Corner)> = [CellKind::Inv, CellKind::Nand2, CellKind::Nor2]
+        .into_iter()
+        .flat_map(|kind| corners.iter().map(move |&c| (CellType::by_kind(kind), c)))
+        .collect();
+    pairs
+        .iter()
+        .cycle()
+        .take(n)
+        .map(|(cell, corner)| {
+            let built = cell.build(&base.at_corner(*corner), 1.0);
+            let load = 10.0e-15 * corner.cox_scale;
+            encode_cell(&built, &EncodingContext::all_rising(cell, 2.0e-9, load))
+        })
+        .collect()
 }
 
 /// Prints a horizontal rule with a title.

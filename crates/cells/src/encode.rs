@@ -7,10 +7,18 @@
 //! the paper's Table III; slots irrelevant to a node type are zero.
 //! Edges follow netlist connectivity: every FET connects to its gate
 //! signal and to its drain/source nets.
+//!
+//! The per-pin context a graph is encoded at is decided here, once for
+//! each use: [`EncodingContext::for_arc`] is the context a characterized
+//! arc trains at, and [`EncodingContext::all_rising`] the one the
+//! surrogate-predicted library and the demos query at. The two differ
+//! for multi-input cells, where the held inputs sit at 1 in training but
+//! rise with the rest when queried.
 
 use std::collections::BTreeMap;
 
-use crate::library::BuiltCell;
+use crate::charac::ArcSample;
+use crate::library::{BuiltCell, CellType};
 
 /// Node type in the cell graph (column of Table III).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,6 +68,49 @@ pub struct EncodingContext {
     pub input_slew: BTreeMap<String, f64>,
     /// Capacitive load per output pin, F.
     pub output_load: BTreeMap<String, f64>,
+}
+
+impl EncodingContext {
+    /// The training context of one characterized arc: the switching pin
+    /// moves 0→1 (rising input) or 1→0, every other input is held at its
+    /// sensitizing level (approximated as 1), every input carries the
+    /// arc's slew and every output its load.
+    pub fn for_arc(cell: &CellType, arc: &ArcSample) -> Self {
+        let mut ctx = EncodingContext::default();
+        for pin in &cell.inputs {
+            let (cur, next) = match (*pin == arc.pin, arc.input_rising) {
+                (true, true) => (0.0, 1.0),
+                (true, false) => (1.0, 0.0),
+                (false, _) => (1.0, 1.0),
+            };
+            ctx.set_input(pin, cur, next, arc.slew);
+        }
+        ctx.set_outputs(cell, arc.load);
+        ctx
+    }
+
+    /// The query context: every input rises 0→1 at `slew` and every
+    /// output drives `load`.
+    pub fn all_rising(cell: &CellType, slew: f64, load: f64) -> Self {
+        let mut ctx = EncodingContext::default();
+        for pin in &cell.inputs {
+            ctx.set_input(pin, 0.0, 1.0, slew);
+        }
+        ctx.set_outputs(cell, load);
+        ctx
+    }
+
+    fn set_input(&mut self, pin: &str, current: f64, next: f64, slew: f64) {
+        self.current_state.insert(pin.to_string(), current);
+        self.next_state.insert(pin.to_string(), next);
+        self.input_slew.insert(pin.to_string(), slew);
+    }
+
+    fn set_outputs(&mut self, cell: &CellType, load: f64) {
+        for pin in &cell.outputs {
+            self.output_load.insert((*pin).to_string(), load);
+        }
+    }
 }
 
 /// An encoded cell graph: flat features plus an undirected edge list.
@@ -224,13 +275,12 @@ mod tests {
 
     fn inv_graph() -> (BuiltCell, CellGraph) {
         let card = TechnologyCard::reference(Technology::Ltps);
-        let built = CellType::by_kind(CellKind::Inv).build(&card, 1.0);
-        let mut ctx = EncodingContext::default();
-        ctx.current_state.insert("A".into(), 0.0);
-        ctx.next_state.insert("A".into(), 1.0);
-        ctx.input_slew.insert("A".into(), 2.0e-9);
-        ctx.output_load.insert("Y".into(), 10.0e-15);
-        let g = encode_cell(&built, &ctx);
+        let cell = CellType::by_kind(CellKind::Inv);
+        let built = cell.build(&card, 1.0);
+        let g = encode_cell(
+            &built,
+            &EncodingContext::all_rising(&cell, 2.0e-9, 10.0e-15),
+        );
         (built, g)
     }
 

@@ -31,7 +31,6 @@ use stco_system::runtime::StageTimer;
 use stco_tcad::dataset::DeviceSample;
 use stco_tcad::device::{Bias, Device, DeviceSpec};
 use stco_tcad::materials::{Polarity, Technology};
-use stco_tcad::physics;
 use stco_tcad::poisson::{solve_poisson, PotentialSolution};
 use stco_tcad::transport::drain_current;
 
@@ -291,10 +290,17 @@ impl StcoFlow {
         })
     }
 
-    /// Builds the at-corner technology card from extracted parameters:
-    /// the native-polarity device takes them exactly; the complementary
-    /// device scales proportionally (hybrid-pair convention).
-    fn card_from_extraction(&self, corner: Corner, extracted: (f64, f64, f64)) -> TechnologyCard {
+    /// The technology card an iteration at `corner` hands to the cell
+    /// stage: the base card at `corner`, with the extracted compact
+    /// parameters `(mu0, vth, gamma)` (an [`IterationResult::extracted`])
+    /// taken exactly by the native-polarity device, while the
+    /// complementary device's mobility scales by the same ratio to the
+    /// base card (hybrid-pair convention).
+    pub fn card_from_extraction(
+        &self,
+        corner: Corner,
+        extracted: (f64, f64, f64),
+    ) -> TechnologyCard {
         let mut card = self.base_card.at_corner(corner);
         let (mu0, vth, gamma) = extracted;
         match self.device_template.channel.polarity {
@@ -416,7 +422,7 @@ fn solve_prepared(
         spec: spec.clone(),
         device: device.clone(),
         bias,
-        solution: derived_solution(device, bias, psi),
+        solution: PotentialSolution::from_potential(device, bias, psi, 0),
         current: 0.0,
     };
     // A few fixed-point sweeps: predict ψ from the charge features, then
@@ -430,46 +436,24 @@ fn solve_prepared(
                 *p = pd;
             }
         }
-        sample.solution = derived_solution(device, bias, predicted);
+        sample.solution = PotentialSolution::from_potential(device, bias, predicted, 0);
         mesh.refresh(&sample, TaskFeatures::Poisson, &mut nodes);
     }
     sample
-}
-
-/// Rebuilds the derived per-node quantities from a potential map.
-fn derived_solution(device: &Device, bias: Bias, psi: Vec<f64>) -> PotentialSolution {
-    let mesh = device.mesh();
-    let params = device.channel();
-    let n = mesh.num_nodes();
-    let mut carrier = vec![0.0; n];
-    let mut charge = vec![0.0; n];
-    let mut srh = vec![0.0; n];
-    for i in 0..n {
-        if mesh.material(i).is_semiconductor() && !mesh.region(i).is_dirichlet() {
-            let (x, _) = mesh.position(i);
-            let phi = device.quasi_fermi(x, bias);
-            let nd = physics::carrier_density(params, psi[i], phi);
-            carrier[i] = nd;
-            charge[i] = physics::space_charge(params, psi[i], phi);
-            let ni = params.intrinsic_density.max(1.0);
-            srh[i] = physics::srh_recombination(params, nd, ni * ni / nd.max(ni));
-        }
-    }
-    PotentialSolution {
-        psi,
-        carrier_density: carrier,
-        space_charge: charge,
-        srh,
-        newton_iterations: 0,
-    }
 }
 
 /// Builds a fully surrogate-predicted library: NLDM tables, capacitance,
 /// leakage, switching energy and sequential constraints all come from
 /// the GCN; only the layout area stays analytic (it is geometric).
 ///
+/// Every graph is encoded at [`EncodingContext::all_rising`]. For a
+/// multi-input cell that is not a context [`build_cell_dataset`] trains
+/// on: there, the inputs that do not switch are held at 1.
+///
 /// Cells are predicted independently over stco-par and kept in input
 /// order, so the library is bitwise the same at any thread count.
+///
+/// [`build_cell_dataset`]: stco_surrogate::pipeline::build_cell_dataset
 pub fn predicted_library(
     cells: &[CellType],
     card: &TechnologyCard,
@@ -481,25 +465,13 @@ pub fn predicted_library(
     let loads = expand_axis(&config.loads);
     let out = stco_par::par_map(ParConfig::current(), cells, |cell| {
         let built = cell.build(card, 1.0);
-        let context = |slew: f64, load: f64| -> EncodingContext {
-            let mut ctx = EncodingContext::default();
-            for pin in &cell.inputs {
-                ctx.input_slew.insert((*pin).to_string(), slew);
-                ctx.current_state.insert((*pin).to_string(), 0.0);
-                ctx.next_state.insert((*pin).to_string(), 1.0);
-            }
-            for pin in &cell.outputs {
-                ctx.output_load.insert((*pin).to_string(), load);
-            }
-            ctx
-        };
         let m_delay = metric_index("delay").expect("known");
         let m_slew = metric_index("output_slew").expect("known");
         let mut delay_values = Vec::new();
         let mut slew_values = Vec::new();
         for &s in &slews {
             for &l in &loads {
-                let graph = encode_cell(&built, &context(s, l));
+                let graph = encode_cell(&built, &EncodingContext::all_rising(cell, s, l));
                 // One trunk evaluation for both timing metrics
                 // (bitwise-identical to per-metric predicts).
                 let both = model.predict_many(&graph, &[m_delay, m_slew]);
@@ -513,7 +485,7 @@ pub fn predicted_library(
             Bilinear::new(slews.clone(), loads.clone(), slew_values).expect("grid axes are valid");
         let nominal = encode_cell(
             &built,
-            &context(slews[slews.len() / 2], loads[loads.len() / 2]),
+            &EncodingContext::all_rising(cell, slews[slews.len() / 2], loads[loads.len() / 2]),
         );
         let seq = !matches!(cell.seq, SeqBehavior::Combinational);
         let mut names = vec!["capacitance", "leakage_power", "flip_power"];

@@ -1,151 +1,14 @@
-//! Nonlinear solvers: damped Newton for square systems and
-//! Levenberg–Marquardt for least-squares parameter extraction.
+//! Nonlinear solvers: Levenberg–Marquardt for least-squares parameter
+//! extraction and bisection for monotone thresholds.
 //!
-//! The TCAD Poisson solver drives [`newton`] with an analytic sparse
-//! Jacobian; the compact-model extractor drives [`levenberg_marquardt`]
-//! with finite-difference Jacobians over a handful of parameters.
+//! The compact-model extractor drives [`levenberg_marquardt`] with
+//! finite-difference Jacobians over a handful of parameters; the cell
+//! characterizer's setup, hold and pulse-width searches drive
+//! [`bisect_threshold`].
 
-use crate::dense::{norm2, norm_inf, Matrix};
+use crate::dense::{norm2, Matrix};
 use crate::guard::{check_finite, check_finite_scalar};
 use crate::{NumericsError, Result};
-
-/// Options for the damped Newton iteration.
-#[derive(Debug, Clone, Copy)]
-pub struct NewtonOptions {
-    /// Stop when the residual infinity-norm falls below this.
-    pub residual_tol: f64,
-    /// Stop when the update infinity-norm falls below this.
-    pub step_tol: f64,
-    /// Maximum Newton iterations.
-    pub max_iter: usize,
-    /// Maximum damping halvings per iteration.
-    pub max_backtracks: usize,
-}
-
-impl Default for NewtonOptions {
-    fn default() -> Self {
-        NewtonOptions {
-            residual_tol: 1e-10,
-            step_tol: 1e-12,
-            max_iter: 100,
-            max_backtracks: 20,
-        }
-    }
-}
-
-/// Result of a converged Newton solve.
-#[derive(Debug, Clone)]
-pub struct NewtonSolution {
-    /// The converged state vector.
-    pub x: Vec<f64>,
-    /// Newton iterations consumed.
-    pub iterations: usize,
-    /// Final residual infinity-norm.
-    pub residual: f64,
-}
-
-/// Damped Newton iteration on `F(x) = 0`.
-///
-/// `system` must, given a state `x`, return the residual `F(x)` and solve
-/// the linearized update `J(x) · dx = F(x)`, returning `dx`. Pushing the
-/// linear solve into the callback lets the TCAD crate keep its sparse
-/// Jacobian assembly and Krylov solve fused, while tests can use dense LU.
-///
-/// Damping: the full step is halved until the residual norm decreases (or
-/// `max_backtracks` is hit, in which case the last trial step is accepted —
-/// Poisson problems occasionally need to climb before converging).
-///
-/// # Errors
-///
-/// Returns [`NumericsError::NonFinite`] if the initial state contains
-/// NaN/Inf or the residual norm goes non-finite and damping cannot
-/// recover it, [`NumericsError::NoConvergence`] if the tolerances are
-/// not met within `opts.max_iter` iterations, or propagates errors
-/// from `system`.
-pub fn newton<F>(x0: Vec<f64>, opts: &NewtonOptions, mut system: F) -> Result<NewtonSolution>
-where
-    F: FnMut(&[f64]) -> Result<(Vec<f64>, Vec<f64>)>,
-{
-    check_finite("newton.x0", &x0)?;
-    // `norm_inf` folds with f64::max, which silently drops NaN — a NaN
-    // residual would read as norm 0.0 and "converge" instantly. Force the
-    // norm itself to NaN so every acceptance comparison sees the poison.
-    let res_norm = |r: &[f64]| {
-        if crate::guard::all_finite(r) {
-            norm_inf(r)
-        } else {
-            f64::NAN
-        }
-    };
-    let mut x = x0;
-    let (mut residual, mut dx) = system(&x)?;
-    let mut rnorm = res_norm(&residual);
-    for it in 1..=opts.max_iter {
-        if rnorm <= opts.residual_tol {
-            return Ok(NewtonSolution {
-                x,
-                iterations: it - 1,
-                residual: rnorm,
-            });
-        }
-        // Try the full step, then halve while the residual grows.
-        let mut lambda = 1.0;
-        let mut accepted = None;
-        for _ in 0..=opts.max_backtracks {
-            let trial: Vec<f64> = x
-                .iter()
-                .zip(dx.iter())
-                .map(|(xi, di)| xi - lambda * di)
-                .collect();
-            let (trial_res, trial_dx) = system(&trial)?;
-            let trial_norm = res_norm(&trial_res);
-            // Only accept a finite residual at the damping floor: a NaN
-            // trial would otherwise poison every later iterate.
-            let at_floor = lambda <= 1.0 / (1 << opts.max_backtracks) as f64;
-            if trial_norm < rnorm || (at_floor && trial_norm.is_finite()) {
-                accepted = Some((trial, trial_res, trial_dx, trial_norm));
-                break;
-            }
-            lambda *= 0.5;
-        }
-        // The floor condition guarantees the loop breaks unless every trial
-        // residual — including the most heavily damped one — was non-finite.
-        let Some((nx, nres, ndx, nnorm)) = accepted else {
-            return Err(NumericsError::NonFinite {
-                context: format!(
-                    "newton: residual norm non-finite after {} backtracks at iteration {it}",
-                    opts.max_backtracks
-                ),
-            });
-        };
-        let step = norm_inf(&dx) * lambda;
-        x = nx;
-        residual = nres;
-        dx = ndx;
-        rnorm = nnorm;
-        if rnorm <= opts.residual_tol || step <= opts.step_tol {
-            return Ok(NewtonSolution {
-                x,
-                iterations: it,
-                residual: rnorm,
-            });
-        }
-    }
-    if rnorm <= opts.residual_tol * 10.0 {
-        // Near-converged: accept with the achieved residual. The TCAD bias
-        // continuation relies on this leniency at extreme corners.
-        return Ok(NewtonSolution {
-            x,
-            iterations: opts.max_iter,
-            residual: rnorm,
-        });
-    }
-    let _ = residual;
-    Err(NumericsError::NoConvergence {
-        iterations: opts.max_iter,
-        residual: rnorm,
-    })
-}
 
 /// Options for Levenberg–Marquardt.
 #[derive(Debug, Clone, Copy)]
@@ -367,46 +230,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dense::Matrix;
-
-    #[test]
-    fn newton_solves_scalar_quadratic() {
-        // F(x) = x² - 4, root at 2.
-        let sol = newton(vec![3.0], &NewtonOptions::default(), |x| {
-            let f = x[0] * x[0] - 4.0;
-            let j = 2.0 * x[0];
-            Ok((vec![f], vec![f / j]))
-        })
-        .unwrap();
-        assert!((sol.x[0] - 2.0).abs() < 1e-8);
-    }
-
-    #[test]
-    fn newton_solves_coupled_system() {
-        // x² + y² = 5, x·y = 2 → (2, 1).
-        let sol = newton(vec![2.5, 0.5], &NewtonOptions::default(), |v| {
-            let (x, y) = (v[0], v[1]);
-            let f = vec![x * x + y * y - 5.0, x * y - 2.0];
-            let j = Matrix::from_rows(&[&[2.0 * x, 2.0 * y], &[y, x]]);
-            let dx = j.lu_solve(&f)?;
-            Ok((f, dx))
-        })
-        .unwrap();
-        assert!((sol.x[0] - 2.0).abs() < 1e-8, "{:?}", sol.x);
-        assert!((sol.x[1] - 1.0).abs() < 1e-8);
-    }
-
-    #[test]
-    fn newton_damping_rescues_overshoot() {
-        // atan has a tiny derivative far out; undamped Newton diverges from 4.
-        let sol = newton(vec![4.0], &NewtonOptions::default(), |x| {
-            let f = x[0].atan();
-            let j = 1.0 / (1.0 + x[0] * x[0]);
-            Ok((vec![f], vec![f / j]))
-        })
-        .unwrap();
-        assert!(sol.x[0].abs() < 1e-6, "{}", sol.x[0]);
-    }
 
     #[test]
     fn lm_fits_exponential_decay() {
@@ -458,25 +281,6 @@ mod tests {
     #[test]
     fn bisect_rejects_unbracketed() {
         assert!(bisect_threshold(0.0, 1.0, 1e-6, |v| v > 2.0).is_err());
-    }
-
-    #[test]
-    fn newton_rejects_non_finite_initial_state() {
-        let r = newton(vec![f64::NAN], &NewtonOptions::default(), |x| {
-            Ok((vec![x[0]], vec![x[0]]))
-        });
-        assert!(matches!(r, Err(NumericsError::NonFinite { .. })));
-    }
-
-    #[test]
-    fn newton_errors_when_damping_cannot_recover_nan() {
-        // Every residual evaluation is NaN: no damping level can help.
-        let opts = NewtonOptions {
-            max_backtracks: 3,
-            ..NewtonOptions::default()
-        };
-        let r = newton(vec![1.0], &opts, |_| Ok((vec![f64::NAN], vec![1.0])));
-        assert!(matches!(r, Err(NumericsError::NonFinite { .. })), "{r:?}");
     }
 
     #[test]

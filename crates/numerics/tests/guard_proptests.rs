@@ -5,9 +5,7 @@
 use proptest::prelude::*;
 use stco_numerics::guard::{check_finite, FiniteSlice};
 use stco_numerics::interp::{try_lerp_axis, Bilinear};
-use stco_numerics::nonlinear::{
-    bisect_threshold, levenberg_marquardt, newton, LmOptions, NewtonOptions,
-};
+use stco_numerics::nonlinear::{bisect_threshold, levenberg_marquardt, LmOptions};
 use stco_numerics::NumericsError;
 
 /// The three poison values every guard must catch.
@@ -52,14 +50,6 @@ proptest! {
     #[test]
     fn check_finite_accepts_every_finite_vector(xs in prop::collection::vec(-1e12..1e12f64, 8)) {
         prop_assert!(check_finite("xs", &xs).is_ok());
-    }
-
-    #[test]
-    fn newton_rejects_poisoned_initial_state(x0 in poisoned_vec(4)) {
-        let r = newton(x0, &NewtonOptions::default(), |x| {
-            Ok((x.to_vec(), x.to_vec()))
-        });
-        prop_assert!(is_non_finite_err(r));
     }
 
     #[test]

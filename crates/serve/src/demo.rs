@@ -44,16 +44,7 @@ pub fn demo_graph(kind: CellKind) -> CellGraph {
     let base = TechnologyCard::reference(Technology::Ltps);
     let cell = CellType::by_kind(kind);
     let built = cell.build(&base, 1.0);
-    let mut ctx = EncodingContext::default();
-    for pin in &cell.inputs {
-        ctx.input_slew.insert((*pin).to_string(), 2.0e-9);
-        ctx.current_state.insert((*pin).to_string(), 0.0);
-        ctx.next_state.insert((*pin).to_string(), 1.0);
-    }
-    for pin in &cell.outputs {
-        ctx.output_load.insert((*pin).to_string(), 1.0e-14);
-    }
-    encode_cell(&built, &ctx)
+    encode_cell(&built, &EncodingContext::all_rising(&cell, 2.0e-9, 1.0e-14))
 }
 
 /// The demo training set: every demo cell × the first three metrics,

@@ -9,8 +9,6 @@
 //! also resume from the prefix it shares with an earlier run
 //! ([`Circuit::transient_resuming`]), bit for bit the same as a full run.
 
-use std::sync::OnceLock;
-
 use stco_obs::Counter;
 
 use crate::netlist::{Circuit, Element, MnaSystem, NodeId};
@@ -205,12 +203,6 @@ fn newton_iters() -> Counter {
     stco_obs::Recorder::global()
         .metrics()
         .counter("spice.newton_iters")
-}
-
-/// Whether `STCO_SPICE_DEBUG` is set, read once per process.
-fn debug_progress() -> bool {
-    static DEBUG: OnceLock<bool> = OnceLock::new();
-    *DEBUG.get_or_init(|| std::env::var("STCO_SPICE_DEBUG").is_ok())
 }
 
 impl Circuit {
@@ -560,9 +552,6 @@ fn newton_solve(
             }
         }
         x_prev.copy_from_slice(x);
-        if iter % 25 == 0 && debug_progress() {
-            stco_obs::event!("spice.newton_progress", iter = iter, max_dx = max_dx);
-        }
     }
     Err(SpiceError::NoConvergence {
         analysis,

@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use stco_nn::gnn::GraphData;
+use stco_nn::gnn::{edge_index_lists, GraphData};
 use stco_numerics::Matrix;
 use stco_tcad::dataset::DeviceSample;
 use stco_tcad::device::Device;
@@ -137,7 +137,7 @@ impl DeviceGraph {
             edge_features: Matrix::from_vec(edge_feats.len() / EDGE_DIM, EDGE_DIM, edge_feats),
         };
         graph.add_self_loops();
-        let (src, dst) = index_lists(&graph);
+        let (src, dst) = edge_index_lists(&graph.edges);
         DeviceGraph { graph, src, dst }
     }
 
@@ -219,11 +219,6 @@ impl DeviceGraph {
 /// Node-regression targets for the Poisson emulator: the potential map.
 pub fn potential_targets(sample: &DeviceSample) -> Matrix {
     Matrix::from_vec(sample.solution.psi.len(), 1, sample.solution.psi.clone())
-}
-
-/// The `(src, dst)` index lists of a graph, shared across layers.
-pub fn index_lists(graph: &GraphData) -> (Arc<Vec<usize>>, Arc<Vec<usize>>) {
-    stco_nn::gnn::edge_index_lists(&graph.edges)
 }
 
 #[cfg(test)]

@@ -10,14 +10,14 @@
 use std::sync::Arc;
 
 use stco_nn::ad::kernels;
-use stco_nn::gnn::{EdgeProjections, GraphData, RelGatStack};
+use stco_nn::gnn::{edge_index_lists, EdgeProjections, GraphData, RelGatStack};
 use stco_nn::layers::{Activation, Mlp};
 use stco_nn::train::{fit_parallel, TrainConfig};
 use stco_nn::Params;
 use stco_numerics::{stats, Matrix};
 use stco_tcad::dataset::DeviceSample;
 
-use crate::encoding::{encode_device, index_lists, DeviceGraph, TaskFeatures, EDGE_DIM, NODE_DIM};
+use crate::encoding::{encode_device, DeviceGraph, TaskFeatures, EDGE_DIM, NODE_DIM};
 use crate::poisson_emulator::RegressionMetrics;
 use crate::{Result, SurrogateError};
 
@@ -200,7 +200,7 @@ impl IvPredictor {
     /// [`IvPredictor::predict_log_current`] on the sample the graph was
     /// encoded from.
     pub fn predict_log_current_graph(&self, graph: &GraphData) -> f64 {
-        let (src, dst) = index_lists(graph);
+        let (src, dst) = edge_index_lists(&graph.edges);
         let edges = self.stack.project_edges(&self.params, &graph.edge_features);
         self.infer(&graph.node_features, &src, &dst, &edges)
     }

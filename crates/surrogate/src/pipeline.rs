@@ -168,34 +168,6 @@ pub fn run_table2_cached(
     })
 }
 
-/// Builds the encoding context of an arc sample: switching pin gets the
-/// transition states and the measured slew; the output pin carries the
-/// load; static pins sit at their sensitized level (approximated as 1).
-fn arc_context(cell: &CellType, arc: &ArcSample) -> EncodingContext {
-    let mut ctx = EncodingContext::default();
-    for pin in &cell.inputs {
-        let name = (*pin).to_string();
-        if *pin == arc.pin {
-            let (cur, next) = if arc.input_rising {
-                (0.0, 1.0)
-            } else {
-                (1.0, 0.0)
-            };
-            ctx.current_state.insert(name.clone(), cur);
-            ctx.next_state.insert(name.clone(), next);
-            ctx.input_slew.insert(name, arc.slew);
-        } else {
-            ctx.current_state.insert(name.clone(), 1.0);
-            ctx.next_state.insert(name.clone(), 1.0);
-            ctx.input_slew.insert(name, arc.slew);
-        }
-    }
-    for pin in &cell.outputs {
-        ctx.output_load.insert((*pin).to_string(), arc.load);
-    }
-    ctx
-}
-
 /// Characterizes `cells` at every corner of `corners` and encodes every
 /// measured metric row as a [`CellSample`].
 ///
@@ -229,7 +201,7 @@ pub fn build_cell_dataset(
             let push_arcs = |metric: &str, arcs: &[ArcSample], out: &mut Vec<CellSample>| {
                 let m = metric_index(metric).expect("known metric");
                 for arc in arcs {
-                    let graph = encode_cell(&built, &arc_context(cell, arc));
+                    let graph = encode_cell(&built, &EncodingContext::for_arc(cell, arc));
                     out.push(CellSample {
                         graph,
                         metric: m,
@@ -241,7 +213,8 @@ pub fn build_cell_dataset(
             push_arcs("output_slew", &ch.output_slew, &mut out);
             push_arcs("flip_power", &ch.flip_power, &mut out);
             push_arcs("nonflip_power", &ch.nonflip_power, &mut out);
-            // Scalar metrics: nominal context (mid slew/load, all-zero states).
+            // Scalar metrics: the nominal context, mid slew and load with
+            // the first input rising and the others held at 1.
             let nominal = ArcSample {
                 pin: cell.inputs[0].to_string(),
                 input_rising: true,
@@ -249,7 +222,7 @@ pub fn build_cell_dataset(
                 load: char_config.loads[char_config.loads.len() / 2],
                 value: 0.0,
             };
-            let graph = encode_cell(&built, &arc_context(cell, &nominal));
+            let graph = encode_cell(&built, &EncodingContext::for_arc(cell, &nominal));
             let push_scalar = |metric: &str, value: f64, out: &mut Vec<CellSample>| {
                 let m = metric_index(metric).expect("known metric");
                 out.push(CellSample {

@@ -8,7 +8,7 @@
 //! configuration explicitly.
 
 use stco_nn::ad::kernels;
-use stco_nn::gnn::{EdgeProjections, GraphData, RelGatStack};
+use stco_nn::gnn::{edge_index_lists, EdgeProjections, GraphData, RelGatStack};
 use stco_nn::layers::{Activation, Mlp};
 use stco_nn::train::{fit_parallel, TrainConfig};
 use stco_nn::Params;
@@ -16,7 +16,7 @@ use stco_numerics::{stats, Matrix};
 use stco_tcad::dataset::DeviceSample;
 
 use crate::encoding::{
-    encode_device, index_lists, potential_targets, DeviceGraph, TaskFeatures, EDGE_DIM, NODE_DIM,
+    encode_device, potential_targets, DeviceGraph, TaskFeatures, EDGE_DIM, NODE_DIM,
 };
 use crate::{Result, SurrogateError};
 
@@ -191,7 +191,7 @@ impl PoissonEmulator {
     /// sample). Bitwise-identical to [`PoissonEmulator::predict`] on
     /// the sample the graph was encoded from.
     pub fn predict_graph(&self, graph: &GraphData) -> Vec<f64> {
-        let (src, dst) = index_lists(graph);
+        let (src, dst) = edge_index_lists(&graph.edges);
         let edges = self.stack.project_edges(&self.params, &graph.edge_features);
         self.infer(&graph.node_features, &src, &dst, &edges)
     }

@@ -78,17 +78,8 @@ fn cell_samples() -> Vec<CellSample> {
     for kind in [CellKind::Inv, CellKind::Nand2] {
         let cell = CellType::by_kind(kind);
         let built = cell.build(&base, 1.0);
-        let mut ctx = EncodingContext::default();
-        for pin in &cell.inputs {
-            ctx.input_slew.insert((*pin).to_string(), 2.0e-9);
-            ctx.current_state.insert((*pin).to_string(), 0.0);
-            ctx.next_state.insert((*pin).to_string(), 1.0);
-        }
-        for pin in &cell.outputs {
-            ctx.output_load.insert((*pin).to_string(), 1.0e-14);
-        }
         out.push(CellSample {
-            graph: encode_cell(&built, &ctx),
+            graph: encode_cell(&built, &EncodingContext::all_rising(&cell, 2.0e-9, 1.0e-14)),
             metric: 0,
             value: 1.0e-10,
         });

@@ -26,17 +26,8 @@ fn samples(kinds: &[CellKind], corners: &[Corner]) -> Vec<CellSample> {
         for corner in corners {
             let card = base.at_corner(*corner);
             let built = cell.build(&card, 1.0);
-            let mut ctx = EncodingContext::default();
             let load = 10.0e-15 * corner.cox_scale;
-            for pin in &cell.inputs {
-                ctx.input_slew.insert((*pin).to_string(), 2.0e-9);
-                ctx.current_state.insert((*pin).to_string(), 0.0);
-                ctx.next_state.insert((*pin).to_string(), 1.0);
-            }
-            for pin in &cell.outputs {
-                ctx.output_load.insert((*pin).to_string(), load);
-            }
-            let graph = encode_cell(&built, &ctx);
+            let graph = encode_cell(&built, &EncodingContext::all_rising(&cell, 2.0e-9, load));
             let scale = 1.0 + cell.transistor_count() as f64 / 10.0;
             let value = scale * load / (corner.vdd * corner.vdd) * 1.0e12;
             out.push(CellSample {

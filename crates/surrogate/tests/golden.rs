@@ -8,7 +8,12 @@
 //! The trainer goldens pin each model's training on those same devices
 //! and graphs: the trained weights, the loss history and the restored
 //! epoch, for a full run and for one that early stopping cuts short.
+//!
+//! Two more pin the data the surrogates learn from: the TCAD solutions
+//! of those devices, whole, and the Table IV training set that
+//! `build_cell_dataset` encodes from characterized INV, NAND2 and DFF.
 
+use stco_cells::charac::CharConfig;
 use stco_cells::encode::{encode_cell, CellGraph, EncodingContext};
 use stco_cells::library::{CellKind, CellType};
 use stco_compact::tech::{Corner, TechnologyCard};
@@ -18,6 +23,7 @@ use stco_surrogate::cell_model::{
 };
 use stco_surrogate::encoding::{encode_device, TaskFeatures};
 use stco_surrogate::iv_predictor::{IvConfig, IvPredictor};
+use stco_surrogate::pipeline::build_cell_dataset;
 use stco_surrogate::poisson_emulator::{PoissonConfig, PoissonEmulator};
 use stco_tcad::dataset::DeviceSample;
 use stco_tcad::device::{Bias, DeviceSpec};
@@ -119,6 +125,24 @@ const GOLDEN_TRAINED_CELL: [TrainedRow; 2] = [
     ("full", 5, 0xd6053ddd8d9d2edd, 0x2039138756b44695),
     ("stopped", 4, 0x18958841a92f49d9, 0x2384cb216710e15e),
 ];
+
+/// `(technology, bias index, fingerprint)` of `solve_poisson`'s whole
+/// `PotentialSolution` on each reference device: ψ, carrier density,
+/// space charge, SRH and the Newton iteration count.
+const GOLDEN_POTENTIAL: [(&str, usize, u64); 6] = [
+    ("CNT", 0, 0x858586688b401bc4),
+    ("CNT", 1, 0x79bd2b4ddfd3c4a6),
+    ("LTPS", 0, 0x59e446389699e105),
+    ("LTPS", 1, 0xc26ea106bab8421f),
+    ("IGZO", 0, 0xd27861145d79cf18),
+    ("IGZO", 1, 0x915931cfe14a42ac),
+];
+
+/// `(samples, fingerprint)` of `build_cell_dataset` for INV, NAND2 and
+/// DFF on the LTPS reference card at the nominal 3 V corner under
+/// `CharConfig::fast()`: every sample's metric, value bits, feature bits
+/// and edges, in dataset order.
+const GOLDEN_CELL_DATASET: (usize, u64) = (32, 0xb4d51b6e7366f832);
 
 const TECHNOLOGIES: [(Technology, &str); 3] = [
     (Technology::Cnt, "CNT"),
@@ -228,19 +252,20 @@ fn cell_graphs() -> Vec<(&'static str, usize, CellGraph)> {
         let cell = CellType::by_kind(kind);
         for (k, corner) in corners.iter().enumerate() {
             let built = cell.build(&base.at_corner(*corner), 1.0);
-            let mut ctx = EncodingContext::default();
-            for pin in &cell.inputs {
-                ctx.input_slew.insert((*pin).to_string(), 2.0e-9);
-                ctx.current_state.insert((*pin).to_string(), 0.0);
-                ctx.next_state.insert((*pin).to_string(), 1.0);
-            }
-            for pin in &cell.outputs {
-                ctx.output_load.insert((*pin).to_string(), 10.0e-15);
-            }
+            let ctx = EncodingContext::all_rising(&cell, 2.0e-9, 10.0e-15);
             out.push((name, k, encode_cell(&built, &ctx)));
         }
     }
     out
+}
+
+fn edge_bytes(edges: &[(usize, usize)]) -> impl Iterator<Item = u8> + '_ {
+    edges.iter().flat_map(|&(s, d)| {
+        (s as u64)
+            .to_le_bytes()
+            .into_iter()
+            .chain((d as u64).to_le_bytes())
+    })
 }
 
 fn table(rows: &[(&str, usize, u64)]) -> String {
@@ -259,12 +284,7 @@ fn device_encodings_match_golden_fingerprints() {
                     let g = encode_device(sample, task);
                     fnv1a(
                         value_bytes(g.node_features.as_slice())
-                            .chain(g.edges.iter().flat_map(|&(s, d)| {
-                                (s as u64)
-                                    .to_le_bytes()
-                                    .into_iter()
-                                    .chain((d as u64).to_le_bytes())
-                            }))
+                            .chain(edge_bytes(&g.edges))
                             .chain(value_bytes(g.edge_features.as_slice())),
                     )
                 });
@@ -278,6 +298,48 @@ fn device_encodings_match_golden_fingerprints() {
         })
         .collect();
     assert_eq!(got, GOLDEN_ENCODING, "fingerprints now:\n{now}");
+}
+
+#[test]
+fn tcad_solutions_match_golden_fingerprints() {
+    let got: Vec<(&str, usize, u64)> = devices()
+        .iter()
+        .map(|(name, k, sample)| {
+            let s = &sample.solution;
+            let bytes = value_bytes(&s.psi)
+                .chain(value_bytes(&s.carrier_density))
+                .chain(value_bytes(&s.space_charge))
+                .chain(value_bytes(&s.srh))
+                .chain((s.newton_iterations as u64).to_le_bytes());
+            (*name, *k, fnv1a(bytes))
+        })
+        .collect();
+    assert_eq!(got, GOLDEN_POTENTIAL, "fingerprints now:\n{}", table(&got));
+}
+
+#[test]
+fn cell_dataset_matches_golden_fingerprint() {
+    let card = TechnologyCard::reference(Technology::Ltps);
+    let cells: Vec<CellType> = [CellKind::Inv, CellKind::Nand2, CellKind::Dff]
+        .into_iter()
+        .map(CellType::by_kind)
+        .collect();
+    let samples = build_cell_dataset(&card, &[Corner::nominal(3.0)], &cells, &CharConfig::fast())
+        .expect("characterizes");
+    let bytes = samples.iter().flat_map(|s| {
+        (s.metric as u64)
+            .to_le_bytes()
+            .into_iter()
+            .chain(s.value.to_bits().to_le_bytes())
+            .chain(value_bytes(&s.graph.features))
+            .chain(edge_bytes(&s.graph.edges))
+    });
+    let got = (samples.len(), fnv1a(bytes));
+    assert_eq!(
+        got, GOLDEN_CELL_DATASET,
+        "fingerprint now: ({}, {:#018x})",
+        got.0, got.1
+    );
 }
 
 #[test]

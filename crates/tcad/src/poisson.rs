@@ -36,6 +36,50 @@ pub struct PotentialSolution {
     pub newton_iterations: usize,
 }
 
+impl PotentialSolution {
+    /// The solution a potential map implies on `device` at `bias`: the
+    /// carrier density, space charge and SRH recombination of
+    /// [`crate::physics`] at every non-electrode semiconductor node (zero
+    /// elsewhere), with `newton_iterations` recorded as given.
+    ///
+    /// This is the ψ → charge half of the self-consistent loop, shared by
+    /// [`solve_poisson`] and the surrogate device solve that alternates
+    /// it with a predicted ψ. It checks nothing: callers that need
+    /// finite fields assert them.
+    pub fn from_potential(
+        device: &Device,
+        bias: Bias,
+        psi: Vec<f64>,
+        newton_iterations: usize,
+    ) -> Self {
+        let mesh = device.mesh();
+        let params = device.channel();
+        let n = mesh.num_nodes();
+        let mut carrier = vec![0.0; n];
+        let mut charge = vec![0.0; n];
+        let mut srh = vec![0.0; n];
+        for i in 0..n {
+            if mesh.material(i).is_semiconductor() && !mesh.region(i).is_dirichlet() {
+                let (x, _) = mesh.position(i);
+                let phi = device.quasi_fermi(x, bias);
+                let nd = physics::carrier_density(params, psi[i], phi);
+                carrier[i] = nd;
+                charge[i] = physics::space_charge(params, psi[i], phi);
+                let ni = params.intrinsic_density.max(1.0);
+                let minority = ni * ni / nd.max(ni);
+                srh[i] = physics::srh_recombination(params, nd, minority);
+            }
+        }
+        PotentialSolution {
+            psi,
+            carrier_density: carrier,
+            space_charge: charge,
+            srh,
+            newton_iterations,
+        }
+    }
+}
+
 /// Solves the nonlinear Poisson problem at the given bias.
 ///
 /// # Errors
@@ -44,9 +88,7 @@ pub struct PotentialSolution {
 /// fails at the final continuation step, or propagates numerical errors.
 pub fn solve_poisson(device: &Device, bias: Bias) -> Result<PotentialSolution> {
     let _span = stco_obs::span!("tcad.solve_poisson", gate = bias.gate, drain = bias.drain,);
-    let mesh = device.mesh();
-    let n = mesh.num_nodes();
-    let mut psi = vec![0.0; n];
+    let mut psi = vec![0.0; device.mesh().num_nodes()];
     let mut total_iters = 0usize;
 
     // Bias continuation: ramp both terminals together. Each step runs a
@@ -113,36 +155,14 @@ pub fn solve_poisson(device: &Device, bias: Bias) -> Result<PotentialSolution> {
         }
     }
 
-    // Derived per-node quantities.
-    let params = device.channel();
-    let mut carrier = vec![0.0; n];
-    let mut charge = vec![0.0; n];
-    let mut srh = vec![0.0; n];
-    for i in 0..n {
-        if mesh.material(i).is_semiconductor() && !mesh.region(i).is_dirichlet() {
-            let (x, _) = mesh.position(i);
-            let phi = device.quasi_fermi(x, bias);
-            let nd = physics::carrier_density(params, psi[i], phi);
-            carrier[i] = nd;
-            charge[i] = physics::space_charge(params, psi[i], phi);
-            let ni = params.intrinsic_density.max(1.0);
-            let minority = ni * ni / nd.max(ni);
-            srh[i] = physics::srh_recombination(params, nd, minority);
-        }
-    }
-    stco_numerics::debug_assert_all_finite!("poisson.carrier_density", &carrier);
-    stco_numerics::debug_assert_all_finite!("poisson.space_charge", &charge);
+    let solution = PotentialSolution::from_potential(device, bias, psi, total_iters);
+    stco_numerics::debug_assert_all_finite!("poisson.carrier_density", &solution.carrier_density);
+    stco_numerics::debug_assert_all_finite!("poisson.space_charge", &solution.space_charge);
     stco_obs::Recorder::global()
         .metrics()
         .counter("tcad.newton_iters")
         .add(total_iters as u64);
-    Ok(PotentialSolution {
-        psi,
-        carrier_density: carrier,
-        space_charge: charge,
-        srh,
-        newton_iterations: total_iters,
-    })
+    Ok(solution)
 }
 
 /// Assembles the row-scaled residual and Jacobian at `state`.

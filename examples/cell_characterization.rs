@@ -53,13 +53,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Table III encoding of an inverter.
     println!("\nTable III encoding of INV (slew 2 ns, load 10 fF, A: 0 -> 1):");
-    let built = CellType::by_kind(CellKind::Inv).build(&card, 1.0);
-    let mut ctx = EncodingContext::default();
-    ctx.current_state.insert("A".into(), 0.0);
-    ctx.next_state.insert("A".into(), 1.0);
-    ctx.input_slew.insert("A".into(), 2.0e-9);
-    ctx.output_load.insert("Y".into(), 10.0e-15);
-    let graph = encode_cell(&built, &ctx);
+    let inv = CellType::by_kind(CellKind::Inv);
+    let built = inv.build(&card, 1.0);
+    let graph = encode_cell(&built, &EncodingContext::all_rising(&inv, 2.0e-9, 10.0e-15));
     print!("{:<14}", "node \\ slot");
     for name in FEATURE_NAMES {
         print!(" {:>10.10}", name);

@@ -488,7 +488,11 @@ fn main() {
             trace.as_ref(),
             &format!("{}/fast", bench.name()),
         );
-        let row = MeasuredRow::from_results(bench, &trad, &fast).expect("one result per flow");
+        let row = MeasuredRow {
+            benchmark: bench.name().to_string(),
+            traditional: trad.seconds,
+            fast: fast.seconds,
+        };
         println!(
             "{:<12} {:>10} {:>10} {:>10} {:>10} {:>8.1}x {:>8.1}x",
             row.benchmark,

@@ -9,7 +9,7 @@
 use stco_bench::{artifact_registry, banner, cache_counters, paper_scale, report_cache_delta};
 use stco_nn::train::TrainConfig;
 use stco_surrogate::iv_predictor::IvConfig;
-use stco_surrogate::pipeline::{run_table2_cached, Table2Config};
+use stco_surrogate::pipeline::{run_table2, Table2Config};
 use stco_surrogate::poisson_emulator::PoissonConfig;
 use stco_tcad::materials::Technology;
 
@@ -50,7 +50,7 @@ fn main() {
     let registry = artifact_registry();
     let cache_before = cache_counters();
     let t0 = std::time::Instant::now();
-    let report = run_table2_cached(&config, registry.as_ref()).expect("table 2 pipeline");
+    let report = run_table2(&config, registry.as_ref()).expect("table 2 pipeline");
     println!(
         "pipeline wall clock: {:.1} s (generation + training + eval)",
         t0.elapsed().as_secs_f64()

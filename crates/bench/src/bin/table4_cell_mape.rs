@@ -10,7 +10,7 @@ use stco_bench::{
     artifact_registry, banner, bench_char_config, cache_counters, paper_scale, report_cache_delta,
 };
 use stco_cells::library::{CellKind, CellType};
-use stco_surrogate::pipeline::{run_table4_cached, Table4Config};
+use stco_surrogate::pipeline::{run_table4, Table4Config};
 use stco_tcad::materials::Technology;
 
 fn main() {
@@ -48,7 +48,7 @@ fn main() {
         ));
         let cache_before = cache_counters();
         let t0 = std::time::Instant::now();
-        let report = run_table4_cached(&config, registry.as_ref()).expect("table 4 pipeline");
+        let report = run_table4(&config, registry.as_ref()).expect("table 4 pipeline");
         println!(
             "characterization + training wall clock: {:.1} s",
             t0.elapsed().as_secs_f64()

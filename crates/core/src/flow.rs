@@ -19,6 +19,7 @@ use stco_compact::extract::{extract_parameters, TransferCurve};
 use stco_compact::tech::{Corner, TechnologyCard};
 use stco_nn::gnn::EdgeProjections;
 use stco_numerics::interp::Bilinear;
+use stco_obs::SpanGuard;
 use stco_par::ParConfig;
 use stco_surrogate::cell_model::{metric_index, CellModel};
 use stco_surrogate::encoding::{DeviceGraph, TaskFeatures};
@@ -27,7 +28,6 @@ use stco_surrogate::poisson_emulator::PoissonEmulator;
 use stco_system::bench_gen::Benchmark;
 use stco_system::netlist::LogicNetlist;
 use stco_system::ppa::{evaluate_system, map_netlist_cells, EvalConfig, PpaReport};
-use stco_system::runtime::StageTimer;
 use stco_tcad::dataset::DeviceSample;
 use stco_tcad::device::{Bias, Device, DeviceSpec};
 use stco_tcad::materials::{Polarity, Technology};
@@ -215,14 +215,14 @@ impl StcoFlow {
                 TechnologyStage::Fast => "fast",
             },
         );
-        let mut timer = StageTimer::new();
+        let mut seconds = StageSeconds::default();
         let spec = self.device_at(corner);
         let device = spec.build()?;
         let (gates, vd) = self.gate_sweep(corner);
 
         // Stage 1: device simulation. The gate points are independent
         // solves, fanned out over stco-par in input order.
-        timer.start("device");
+        let span = stco_obs::span!("flow.stage", stage = "device");
         let fast = match stage {
             TechnologyStage::Traditional => None,
             TechnologyStage::Fast => Some(surrogates.ok_or_else(|| StcoError::InvalidConfig {
@@ -241,10 +241,10 @@ impl StcoFlow {
             };
             Ok::<_, StcoError>((vg, id))
         })?;
-        timer.finish();
+        seconds.device = close_stage(span, "device");
 
         // Stage 2: compact-model extraction (shared).
-        timer.start("compact");
+        let span = stco_obs::span!("flow.stage", stage = "compact");
         let curve = TransferCurve {
             vgs: iv_points.iter().map(|p| p.0).collect(),
             vds: vd,
@@ -261,27 +261,21 @@ impl StcoFlow {
             extraction.model.gamma,
         );
         let card = self.card_from_extraction(corner, extracted);
-        timer.finish();
+        seconds.compact = close_stage(span, "compact");
 
         // Stage 3: cell-library characterization.
-        timer.start("cells");
+        let span = stco_obs::span!("flow.stage", stage = "cells");
         let library = match fast {
             None => Library::characterize_subset(&card, &self.config.char_config, &self.cells)?,
             Some(s) => predicted_library(&self.cells, &card, &s.cells, &self.config.char_config),
         };
-        timer.finish();
+        seconds.cells = close_stage(span, "cells");
 
         // Stage 4: system evaluation (always the real flow).
-        timer.start("system");
+        let span = stco_obs::span!("flow.stage", stage = "system");
         let ppa = evaluate_system(&self.logic, &library, &self.config.eval)?;
-        timer.finish();
+        seconds.system = close_stage(span, "system");
 
-        let seconds = StageSeconds {
-            device: timer.total_of("device"),
-            compact: timer.total_of("compact"),
-            cells: timer.total_of("cells"),
-            system: timer.total_of("system"),
-        };
         Ok(IterationResult {
             ppa,
             seconds,
@@ -321,6 +315,22 @@ impl StcoFlow {
         }
         card
     }
+}
+
+/// Closes one stage's `flow.stage` span, observes its seconds in the
+/// `flow.stage_seconds{stage=…}` histogram and returns them. The seconds
+/// are the span's own clock reading, so [`StageSeconds`] and a profile
+/// folded from the trace agree exactly.
+fn close_stage(span: SpanGuard, stage: &str) -> f64 {
+    let seconds = span.close();
+    stco_obs::Recorder::global()
+        .metrics()
+        .histogram(
+            &stco_obs::metrics::labeled("flow.stage_seconds", "stage", stage),
+            &stco_obs::metrics::seconds_buckets(),
+        )
+        .observe(seconds);
+    seconds
 }
 
 /// The fast device stage of one iteration. Everything the device mesh

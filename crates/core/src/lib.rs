@@ -17,8 +17,11 @@
 //!    [`stco_system`] (the stage the paper keeps on commercial tools).
 //!
 //! A tabular Q-learning agent ([`rl`]) explores the (V_DD, V_th, C_ox)
-//! design space over the ten paper benchmarks, and [`speedup`] accounts
-//! wall-clock per stage to regenerate Table I.
+//! design space over the ten paper benchmarks.
+//! [`flow::StcoFlow::run_iteration`] times each stage under its own
+//! `flow.stage` span, and [`speedup`] owns Table I: the paper's
+//! technology-stage seconds, its rows, and the measured and calibrated
+//! views built from them.
 
 pub mod flow;
 pub mod optimize;

@@ -211,24 +211,17 @@ impl SystemSurrogate {
 
     /// Predicts PPA for a design/corner pair.
     pub fn predict(&self, logic: &LogicNetlist, corner: Corner) -> PredictedPpa {
-        Graph::with_scratch(|g| {
-            let x = g.input(Matrix::from_vec(
-                1,
-                FEATURE_DIM,
-                features(logic, corner).to_vec(),
-            ));
-            let pred = self.mlp.forward(g, &self.params, x);
-            let row = g.value(pred);
-            let un = |ch: usize| {
-                let (m, s) = self.norms[ch];
-                10.0_f64.powf(row.get(0, ch) * s + m)
-            };
-            PredictedPpa {
-                min_clock_period: un(0),
-                power: un(1),
-                area: un(2),
-            }
-        })
+        let x = Matrix::from_vec(1, FEATURE_DIM, features(logic, corner).to_vec());
+        let row = self.mlp.infer(&self.params, x);
+        let un = |ch: usize| {
+            let (m, s) = self.norms[ch];
+            10.0_f64.powf(row.get(0, ch) * s + m)
+        };
+        PredictedPpa {
+            min_clock_period: un(0),
+            power: un(1),
+            area: un(2),
+        }
     }
 }
 

@@ -624,12 +624,6 @@ pub fn norm2(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
-/// Infinity norm (largest absolute entry) of a slice.
-#[inline]
-pub fn norm_inf(a: &[f64]) -> f64 {
-    a.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
-}
-
 /// `y ← y + alpha * x` for equal-length slices.
 ///
 /// # Panics
@@ -812,7 +806,6 @@ mod tests {
     fn vector_helpers() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
         assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
-        assert_eq!(norm_inf(&[-7.0, 2.0]), 7.0);
         let mut y = vec![1.0, 1.0];
         axpy(2.0, &[1.0, -1.0], &mut y);
         assert_eq!(y, vec![3.0, -1.0]);

@@ -22,11 +22,6 @@
 
 use crate::{NumericsError, Result};
 
-/// True iff every element is finite (no NaN, no ±Inf).
-pub fn all_finite(xs: &[f64]) -> bool {
-    xs.iter().all(|v| v.is_finite())
-}
-
 /// First non-finite element, as `(index, value)`.
 pub fn first_non_finite(xs: &[f64]) -> Option<(usize, f64)> {
     xs.iter()
@@ -156,14 +151,6 @@ macro_rules! debug_assert_finite {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn all_finite_spots_nan_and_inf() {
-        assert!(all_finite(&[0.0, -1.5, 1e300]));
-        assert!(!all_finite(&[0.0, f64::NAN]));
-        assert!(!all_finite(&[f64::INFINITY]));
-        assert!(!all_finite(&[f64::NEG_INFINITY, 1.0]));
-    }
 
     #[test]
     fn check_finite_names_index_and_value() {

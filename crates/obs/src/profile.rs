@@ -194,28 +194,6 @@ impl Profile {
         acc
     }
 
-    /// Per-stage seconds folded from `flow.stage{stage=…}` spans,
-    /// in first-seen order.
-    pub fn stage_seconds(&self) -> Vec<(String, f64)> {
-        let mut order: Vec<String> = Vec::new();
-        let mut acc: BTreeMap<String, f64> = BTreeMap::new();
-        fn walk(node: &ProfileNode, order: &mut Vec<String>, acc: &mut BTreeMap<String, f64>) {
-            if let Some(stage) = node.stage.as_ref() {
-                if node.name.starts_with("flow.stage{") {
-                    if !acc.contains_key(stage) {
-                        order.push(stage.clone());
-                    }
-                    *acc.entry(stage.clone()).or_insert(0.0) += node.total_s;
-                }
-            }
-            for child in &node.children {
-                walk(child, order, acc);
-            }
-        }
-        walk(&self.root, &mut order, &mut acc);
-        order.into_iter().map(|s| (s.clone(), acc[&s])).collect()
-    }
-
     /// Renders the profile as a Markdown table (indented span column).
     pub fn to_markdown(&self) -> String {
         let mut out = String::new();
@@ -371,13 +349,9 @@ mod tests {
     fn total_of_and_stage_seconds_agree() {
         let profile = Profile::from_records(&sample_trace());
         assert!((profile.total_of("flow.stage{stage=device}") - 100e-9).abs() < 1e-15);
+        assert!((profile.total_of("flow.stage{stage=cells}") - 30e-9).abs() < 1e-15);
         assert!((profile.total_of("tcad.solve_poisson") - 20e-9).abs() < 1e-15);
         assert_eq!(profile.total_of("nope"), 0.0);
-        let stages = profile.stage_seconds();
-        assert_eq!(stages.len(), 2);
-        assert_eq!(stages[0].0, "device");
-        assert!((stages[0].1 - 100e-9).abs() < 1e-15);
-        assert_eq!(stages[1].0, "cells");
     }
 
     #[test]

@@ -381,25 +381,11 @@ impl PredictInput {
     }
 }
 
-/// Where a request's reply goes: a channel for blocking submitters, a
-/// callback for the nonblocking TCP multiplexer (invoked on the shard
-/// worker thread — or inline on admission rejection).
-pub enum ReplyTo {
-    /// Blocking submitter parked on an mpsc receiver.
-    Channel(mpsc::Sender<Result<Vec<f64>>>),
-    /// Completion callback (the mux's out-buffer writer).
-    Callback(Box<dyn FnOnce(Result<Vec<f64>>) + Send>),
-}
-
-impl ReplyTo {
-    fn deliver(self, result: Result<Vec<f64>>) {
-        match self {
-            // A disconnected receiver means the submitter gave up; drop.
-            ReplyTo::Channel(tx) => drop(tx.send(result)),
-            ReplyTo::Callback(f) => f(result),
-        }
-    }
-}
+/// Where a request's reply goes: called once with the outcome, on the
+/// shard worker thread for executed requests or inline on admission
+/// rejection. The TCP multiplexer passes its out-buffer writer; a
+/// blocking [`ModelService::submit`] passes its channel's sender.
+type ReplyFn = Box<dyn FnOnce(Result<Vec<f64>>) + Send>;
 
 struct Pending {
     trace_id: u64,
@@ -407,7 +393,7 @@ struct Pending {
     input: PredictInput,
     enqueued: Instant,
     deadline: Instant,
-    reply: ReplyTo,
+    reply: ReplyFn,
 }
 
 struct ShardQueue {
@@ -707,7 +693,9 @@ impl ModelService {
     ) -> Result<Vec<f64>> {
         let _span = stco_obs::span!("serve.submit");
         let (tx, rx) = mpsc::channel();
-        self.enqueue(model_id, input, deadline, ReplyTo::Channel(tx));
+        // A disconnected receiver means the submitter gave up; drop.
+        let reply = move |result| drop(tx.send(result));
+        self.enqueue(model_id, input, deadline, Box::new(reply));
         rx.recv().unwrap_or(Err(ServeError::ShuttingDown))
     }
 
@@ -724,7 +712,7 @@ impl ModelService {
         complete: Box<dyn FnOnce(Result<Vec<f64>>) + Send>,
     ) {
         let _span = stco_obs::span!("serve.submit_async");
-        self.enqueue(model_id, input, deadline, ReplyTo::Callback(complete));
+        self.enqueue(model_id, input, deadline, complete);
     }
 
     /// Shared admission path: route, validate the model id, apply the
@@ -735,7 +723,7 @@ impl ModelService {
         model_id: &str,
         input: PredictInput,
         deadline: Option<Duration>,
-        reply: ReplyTo,
+        reply: ReplyFn,
     ) {
         let trace_id = self.shared.next_trace.fetch_add(1, Ordering::Relaxed);
         let metrics = stco_obs::Recorder::global().metrics();
@@ -748,7 +736,7 @@ impl ModelService {
             models.get(model_id).cloned()
         };
         let Some(model) = model else {
-            reply.deliver(Err(ServeError::UnknownModel {
+            reply(Err(ServeError::UnknownModel {
                 id: model_id.to_string(),
             }));
             return;
@@ -781,7 +769,7 @@ impl ModelService {
                 if matches!(err, ServeError::Overloaded { .. }) {
                     metrics.counter("serve.shed_total").inc();
                 }
-                reply.deliver(Err(err));
+                reply(Err(err));
             }
             None => {
                 update_depth_gauges(&self.shared);
@@ -958,7 +946,7 @@ fn worker_loop(shared: &Shared, shard_idx: usize) {
         // callback boxes are not Sync); the (model, input) pairs are.
         let drained = Instant::now();
         let mut work: Vec<(Arc<LoadedModel>, PredictInput)> = Vec::with_capacity(batch_size);
-        let mut repliers: Vec<(ReplyTo, Instant, bool, u64)> = Vec::with_capacity(batch_size);
+        let mut repliers: Vec<(ReplyFn, Instant, bool, u64)> = Vec::with_capacity(batch_size);
         for p in batch {
             let expired = drained > p.deadline;
             if !expired {
@@ -991,7 +979,7 @@ fn worker_loop(shared: &Shared, shard_idx: usize) {
                 replies_counter.inc();
             }
             let reply_start = Instant::now();
-            reply.deliver(outcome);
+            reply(outcome);
             let replied = Instant::now();
             let breakdown = SlowRequest {
                 trace_id,
@@ -1028,84 +1016,75 @@ fn worker_loop(shared: &Shared, shard_idx: usize) {
     }
 }
 
-/// One forward-pass unit of a drained batch: either a single request or
-/// a group of cell-graph requests sharing a model.
-enum ForwardTask {
-    Single(usize),
-    CellGroup(Vec<usize>),
+/// The valid cell-graph requests of a drained batch that share one
+/// model, answered together by one [`CellModel::predict_batch`].
+struct CellGroup<'a> {
+    model: &'a CellModel,
+    members: Vec<usize>,
+    graphs: Vec<&'a CellGraph>,
+    metrics: Vec<&'a [usize]>,
 }
 
-/// Executes one drained batch. Cell-graph requests that share a model
-/// are packed into one block-diagonal [`BatchedCellGraph`] and answered
-/// by a single [`CellModel::predict_batch`] trunk evaluation — a few
-/// large blocked GEMMs instead of one small GEMM chain per request.
-/// Everything else (other model kinds, lone cell requests) runs its own
-/// per-item forward. The output is indexed like `work`, and every value
-/// is bitwise-identical to the per-item [`LoadedModel::predict`] result
-/// (DESIGN.md §15).
+/// One forward-pass unit of a drained batch.
+enum ForwardTask<'a> {
+    /// A device-model or invalid request, run on its own.
+    Single(usize),
+    /// Every valid cell request for one model.
+    Cells(CellGroup<'a>),
+}
+
+/// Executes one drained batch. Valid cell-graph requests that share a
+/// model are packed into one block-diagonal [`BatchedCellGraph`] and
+/// answered by a single [`CellModel::predict_batch`] trunk evaluation —
+/// a few large blocked GEMMs instead of one small GEMM chain per
+/// request. A lone cell request is a batch of one, which is exactly what
+/// [`CellModel::predict_many`] runs. Device-model and invalid requests
+/// run the per-item [`LoadedModel::predict`], which reports
+/// [`ServeError::BadInput`]. The output is indexed like `work`, and every
+/// value is bitwise-identical to the per-item [`LoadedModel::predict`]
+/// result (DESIGN.md §15).
 fn forward_batch(work: &[(Arc<LoadedModel>, PredictInput)]) -> Vec<Result<Vec<f64>>> {
-    // Group cell items by model identity (Arc pointer): requests for
-    // the same installed model share weights and can be packed.
-    let mut cell_groups: HashMap<usize, Vec<usize>> = HashMap::new();
+    // Group by model identity (Arc pointer), in order of first member,
+    // so the task list does not depend on allocator-chosen addresses.
+    let mut groups: Vec<CellGroup> = Vec::new();
+    let mut group_of: HashMap<*const LoadedModel, usize> = HashMap::new();
+    let mut singles: Vec<usize> = Vec::new();
     for (i, (model, input)) in work.iter().enumerate() {
-        if matches!(
-            (model.as_ref(), input),
-            (LoadedModel::Cell(_), PredictInput::Cell { .. })
-        ) && input.validate().is_ok()
-        {
-            cell_groups
-                .entry(Arc::as_ptr(model) as usize)
-                .or_default()
-                .push(i);
+        match (model.as_ref(), input) {
+            (LoadedModel::Cell(cell), PredictInput::Cell { graph, metrics })
+                if input.validate().is_ok() =>
+            {
+                let g = *group_of.entry(Arc::as_ptr(model)).or_insert_with(|| {
+                    groups.push(CellGroup {
+                        model: cell,
+                        members: Vec::new(),
+                        graphs: Vec::new(),
+                        metrics: Vec::new(),
+                    });
+                    groups.len() - 1
+                });
+                groups[g].members.push(i);
+                groups[g].graphs.push(graph);
+                groups[g].metrics.push(metrics.as_slice());
+            }
+            _ => singles.push(i),
         }
     }
-    // Order groups by first member so the task list is deterministic
-    // regardless of allocator-dependent Arc pointer values.
-    let mut groups: Vec<Vec<usize>> = cell_groups
-        .into_values()
-        .filter(|idxs| idxs.len() > 1)
+    let tasks: Vec<ForwardTask> = groups
+        .into_iter()
+        .map(ForwardTask::Cells)
+        .chain(singles.into_iter().map(ForwardTask::Single))
         .collect();
-    groups.sort_unstable_by_key(|idxs| idxs[0]);
-    let mut tasks: Vec<ForwardTask> = Vec::new();
-    let mut in_group = vec![false; work.len()];
-    for idxs in groups {
-        for &i in &idxs {
-            in_group[i] = true;
-        }
-        tasks.push(ForwardTask::CellGroup(idxs));
-    }
-    for (i, grouped) in in_group.iter().enumerate() {
-        if !grouped {
-            tasks.push(ForwardTask::Single(i));
-        }
-    }
     let produced = stco_par::par_map(stco_par::ParConfig::current(), &tasks, |task| match task {
         ForwardTask::Single(i) => {
             let (model, input) = &work[*i];
             vec![(*i, model.predict(input))]
         }
-        ForwardTask::CellGroup(idxs) => {
-            let LoadedModel::Cell(cell) = work[idxs[0]].0.as_ref() else {
-                return idxs
-                    .iter()
-                    .map(|&i| (i, work[i].0.predict(&work[i].1)))
-                    .collect();
-            };
-            let mut graphs: Vec<&CellGraph> = Vec::with_capacity(idxs.len());
-            let mut metric_lists: Vec<&[usize]> = Vec::with_capacity(idxs.len());
-            for &i in idxs {
-                let PredictInput::Cell { graph, metrics } = &work[i].1 else {
-                    return idxs
-                        .iter()
-                        .map(|&i| (i, work[i].0.predict(&work[i].1)))
-                        .collect();
-                };
-                graphs.push(graph);
-                metric_lists.push(metrics.as_slice());
-            }
-            let packed = BatchedCellGraph::pack(&graphs);
-            let outs = cell.predict_batch(&packed, &metric_lists);
-            idxs.iter().copied().zip(outs.into_iter().map(Ok)).collect()
+        ForwardTask::Cells(group) => {
+            let packed = BatchedCellGraph::pack(&group.graphs);
+            let outs = group.model.predict_batch(&packed, &group.metrics);
+            let members = group.members.iter().copied();
+            members.zip(outs.into_iter().map(Ok)).collect()
         }
     });
     // Every index is covered by exactly one task; the placeholder only

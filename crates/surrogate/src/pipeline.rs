@@ -68,16 +68,6 @@ pub struct Table2Report {
     pub parameter_counts: (usize, usize),
 }
 
-/// Runs the full Table II experiment: generate devices, train both
-/// surrogates, evaluate on validation/test/unseen.
-///
-/// # Errors
-///
-/// Propagates dataset-generation and training failures.
-pub fn run_table2(config: &Table2Config) -> Result<Table2Report> {
-    run_table2_cached(config, None)
-}
-
 /// The artifact cache key of a model trained by a Table II run: the
 /// whole run config determines the dataset, the split and the training
 /// schedule, so hashing its `Debug` rendering (a pure function of the
@@ -86,21 +76,20 @@ pub fn table2_key(kind: &str, config: &Table2Config) -> ArtifactKey {
     ArtifactKey::from_parts(kind, &[&format!("table2 {config:?}")])
 }
 
-/// [`run_table2`] with an optional artifact cache: when `registry` is
-/// given and holds both models for this config, training is skipped
-/// entirely (zero training steps) and the saved weights are rehydrated;
-/// on a miss, models train as usual and are stored for the next run.
-/// Dataset generation and evaluation always run — only training is
-/// amortized.
+/// Runs the full Table II experiment: generate devices, train both
+/// surrogates, evaluate on validation/test/unseen.
+///
+/// With a `registry` that holds both models for this config, training
+/// is skipped entirely (zero training steps) and the saved weights are
+/// rehydrated; on a miss, models train as usual and are stored for the
+/// next run. Dataset generation and evaluation always run — only
+/// training is amortized.
 ///
 /// # Errors
 ///
 /// Propagates dataset, training and artifact-store failures (a corrupt
 /// cached artifact is an error, not a silent retrain).
-pub fn run_table2_cached(
-    config: &Table2Config,
-    registry: Option<&Registry>,
-) -> Result<Table2Report> {
+pub fn run_table2(config: &Table2Config, registry: Option<&Registry>) -> Result<Table2Report> {
     let data = generate_dataset(config.seed, config.dataset_size, &config.technologies)?;
     let unseen = generate_dataset(
         config.seed ^ 0x5EED_u64,
@@ -314,32 +303,22 @@ pub struct Table4Report {
     pub sizes: (usize, usize),
 }
 
-/// Runs the Table IV experiment for one technology.
-///
-/// # Errors
-///
-/// Propagates characterization and training failures.
-pub fn run_table4(config: &Table4Config) -> Result<Table4Report> {
-    run_table4_cached(config, None)
-}
-
 /// The artifact cache key of the cell model trained by a Table IV run.
 pub fn table4_key(config: &Table4Config) -> ArtifactKey {
     ArtifactKey::from_parts(CellModel::ARTIFACT_KIND, &[&format!("table4 {config:?}")])
 }
 
-/// [`run_table4`] with an optional artifact cache: a second run with an
-/// identical config rehydrates the trained cell model (zero training
-/// steps) instead of retraining. Characterization and evaluation still
-/// run — only training is amortized.
+/// Runs the Table IV experiment for one technology.
+///
+/// With a `registry`, a second run with an identical config rehydrates
+/// the trained cell model (zero training steps) instead of retraining.
+/// Characterization and evaluation still run — only training is
+/// amortized.
 ///
 /// # Errors
 ///
 /// Propagates characterization, training and artifact-store failures.
-pub fn run_table4_cached(
-    config: &Table4Config,
-    registry: Option<&Registry>,
-) -> Result<Table4Report> {
+pub fn run_table4(config: &Table4Config, registry: Option<&Registry>) -> Result<Table4Report> {
     let base = TechnologyCard::reference(config.technology);
     let grid = stco_compact::tech::CornerGrid::default();
     let train_corners = grid.corners(config.train_levels);
@@ -403,7 +382,7 @@ mod tests {
             },
             ..Table2Config::default()
         };
-        let report = run_table2(&config).unwrap();
+        let report = run_table2(&config, None).unwrap();
         assert_eq!(report.sizes[0] + report.sizes[1] + report.sizes[2], 8);
         assert_eq!(report.sizes[3], 3);
         for m in report.poisson.iter().chain(report.iv.iter()) {

@@ -1,5 +1,5 @@
-//! The cached pipeline entry points: a second run with an identical
-//! config must resolve every model from the artifact registry (cache
+//! The pipeline entry points with a registry: a second run with an
+//! identical config must resolve every model from the artifact registry (cache
 //! hits, zero training) and produce bitwise-identical reports.
 
 use stco_cells::charac::CharConfig;
@@ -8,9 +8,7 @@ use stco_nn::train::TrainConfig;
 use stco_store::Registry;
 use stco_surrogate::cell_model::{CellModel, CellModelConfig};
 use stco_surrogate::iv_predictor::IvConfig;
-use stco_surrogate::pipeline::{
-    run_table2_cached, run_table4_cached, table4_key, Table2Config, Table4Config,
-};
+use stco_surrogate::pipeline::{run_table2, run_table4, table4_key, Table2Config, Table4Config};
 use stco_surrogate::poisson_emulator::PoissonConfig;
 use stco_tcad::materials::Technology;
 
@@ -62,7 +60,7 @@ fn table2_second_run_hits_cache_and_reports_identically() {
     let _serial = COUNTER_LOCK.lock().expect("counter lock");
 
     let before = cache_counts();
-    let first = run_table2_cached(&config, Some(&registry)).expect("first run");
+    let first = run_table2(&config, Some(&registry)).expect("first run");
     let mid = cache_counts();
     assert_eq!(
         mid.1 - before.1,
@@ -70,7 +68,7 @@ fn table2_second_run_hits_cache_and_reports_identically() {
         "first run must miss twice (poisson + iv)"
     );
 
-    let second = run_table2_cached(&config, Some(&registry)).expect("second run");
+    let second = run_table2(&config, Some(&registry)).expect("second run");
     let after = cache_counts();
     assert_eq!(
         after.0 - mid.0,
@@ -122,13 +120,13 @@ fn table4_second_run_hits_cache_and_reports_identically() {
     let _serial = COUNTER_LOCK.lock().expect("counter lock");
     assert!(!registry.contains(CellModel::ARTIFACT_KIND, table4_key(&config)));
 
-    let first = run_table4_cached(&config, Some(&registry)).expect("first run");
+    let first = run_table4(&config, Some(&registry)).expect("first run");
     assert!(
         registry.contains(CellModel::ARTIFACT_KIND, table4_key(&config)),
         "first run must export the trained model"
     );
     let mid = cache_counts();
-    let second = run_table4_cached(&config, Some(&registry)).expect("second run");
+    let second = run_table4(&config, Some(&registry)).expect("second run");
     let after = cache_counts();
     assert_eq!(after.0 - mid.0, 1, "second run must load from cache");
 

@@ -16,8 +16,9 @@
 //!   DRC/LVS-style consistency checks.
 //! * [`power`] — leakage plus activity-based dynamic power.
 //! * [`ppa`] — the combined PPA report the RL agent optimizes.
-//! * [`runtime`] — wall-clock stage accounting and the paper-calibrated
-//!   runtime constants behind Table I.
+//!
+//! Stage timing and Table I's arithmetic are not here: `stco-core`'s
+//! flow times each stage, and its `speedup` module composes the rows.
 
 pub mod bench_gen;
 pub mod mapper;
@@ -25,7 +26,6 @@ pub mod netlist;
 pub mod place;
 pub mod power;
 pub mod ppa;
-pub mod runtime;
 pub mod sta;
 
 /// Errors from system evaluation.

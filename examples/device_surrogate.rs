@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         technologies: vec![Technology::Cnt],
         ..Table2Config::default()
     };
-    let report = run_table2(&config)?;
+    let report = run_table2(&config, None)?;
 
     println!(
         "splits: train {} / val {} / test {} / unseen {}",

@@ -35,7 +35,7 @@ fn table2_pipeline_learns_at_small_scale() {
         },
         seed: 404,
     };
-    let report = run_table2(&config).expect("table 2 pipeline runs");
+    let report = run_table2(&config, None).expect("table 2 pipeline runs");
     // Shape of Table II: finite errors everywhere, high R² on the unseen
     // set for the Poisson emulator (the easier task).
     for m in report.poisson.iter().chain(report.iv.iter()) {
@@ -65,7 +65,7 @@ fn table4_pipeline_reports_mape_rows() {
         patience: Some(10),
         ..TrainConfig::default()
     };
-    let report = run_table4(&config).expect("table 4 pipeline runs");
+    let report = run_table4(&config, None).expect("table 4 pipeline runs");
     assert_eq!(report.technology, Technology::Ltps);
     assert!(!report.rows.is_empty());
     for (metric, mape, count) in &report.rows {

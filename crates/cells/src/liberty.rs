@@ -73,16 +73,6 @@ pub struct Library {
 }
 
 impl Library {
-    /// Characterizes the full 35-cell library at the given card.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first characterization failure.
-    pub fn characterize(card: &TechnologyCard, config: &CharConfig) -> Result<Library> {
-        let _span = stco_obs::span!("cells.library_characterize");
-        Self::characterize_subset(card, config, &CellType::library())
-    }
-
     /// Characterizes a subset of cells (tests and scaled-down runs).
     ///
     /// Per-cell characterizations run on the [`stco_par`] pool

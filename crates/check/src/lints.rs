@@ -171,10 +171,7 @@ impl Default for LintConfig {
                     &["transient", "transient_resuming", "dc_operating_point"],
                 ),
                 ("nn", &["fit", "fit_parallel"]),
-                (
-                    "par",
-                    &["par_map", "try_par_map", "par_chunks_mut", "par_map_reduce"],
-                ),
+                ("par", &["par_map", "try_par_map", "par_map_reduce"]),
                 ("cells", &["characterize", "characterize_subset"]),
                 (
                     "core",
@@ -234,7 +231,7 @@ impl Default for LintConfig {
             // runtime's mux I/O event threads, acceptor and shard
             // workers.
             raw_thread_crates: &["par", "serve"],
-            par_entrypoints: &["par_map", "try_par_map", "par_chunks_mut", "par_map_reduce"],
+            par_entrypoints: &["par_map", "try_par_map", "par_map_reduce"],
             serve_hot_crates: &["serve"],
             guard_fns: &["lock_ignore_poison", "lock_state"],
         }

@@ -262,29 +262,15 @@ impl CompactModel {
         drift * clm + leak
     }
 
-    /// Transconductance `∂I_D/∂V_GS` by central differences (1 mV step).
-    pub fn gm(&self, vgs: f64, vds: f64) -> f64 {
-        let h = 1e-3;
-        (self.drain_current(vgs + h, vds) - self.drain_current(vgs - h, vds)) / (2.0 * h)
-    }
-
-    /// Output conductance `∂I_D/∂V_DS` by central differences.
-    pub fn gds(&self, vgs: f64, vds: f64) -> f64 {
-        let h = 1e-3;
-        (self.drain_current(vgs, vds + h) - self.drain_current(vgs, vds - h)) / (2.0 * h)
-    }
-
     /// Fused operating-point evaluation: drain current plus its analytic
-    /// partial derivatives in one pass.
+    /// partial derivatives `g_m = ∂I_D/∂V_GS` and `g_ds = ∂I_D/∂V_DS` in
+    /// one pass.
     ///
     /// The SPICE Newton loop needs `(I_D, g_m, g_ds)` for every TFT on
-    /// every iteration. Evaluating them as `drain_current` + two
-    /// central-difference helpers costs five full model evaluations (and,
-    /// for P-type, five mirrored-model constructions); this method shares
-    /// the forward pass and differentiates the smoothing devices in closed
-    /// form, so one call replaces all five. The current is bitwise
-    /// identical to [`CompactModel::drain_current`]; the derivatives are
-    /// exact where `gm`/`gds` carry an `O(h²)` finite-difference error.
+    /// every iteration. This method shares one forward pass between the
+    /// three and differentiates the smoothing devices in closed form, so
+    /// the partials are exact and cost no extra model evaluation. The
+    /// current is bitwise identical to [`CompactModel::drain_current`].
     // stco-hot
     pub fn linearize(&self, vgs: f64, vds: f64) -> Linearization {
         match self.device_type {
@@ -578,18 +564,6 @@ mod tests {
         let base = m.drain_current(2.0, 1.0);
         assert!((wide.drain_current(2.0, 1.0) / base - 2.0).abs() < 1e-9);
         assert!((long.drain_current(2.0, 1.0) / base - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn derivative_helpers_match_finite_differences() {
-        let m = CompactModel::ntype_reference();
-        // gm/gds use 1 mV central differences internally; compare with an
-        // independent 0.1 mV step.
-        let h = 1e-4;
-        let gm_ref = (m.drain_current(1.5 + h, 1.0) - m.drain_current(1.5 - h, 1.0)) / (2.0 * h);
-        assert!((m.gm(1.5, 1.0) - gm_ref).abs() / gm_ref.abs() < 1e-3);
-        let gds_ref = (m.drain_current(1.5, 1.0 + h) - m.drain_current(1.5, 1.0 - h)) / (2.0 * h);
-        assert!((m.gds(1.5, 1.0) - gds_ref).abs() / gds_ref.abs().max(1e-12) < 1e-2);
     }
 
     #[test]

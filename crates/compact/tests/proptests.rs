@@ -111,7 +111,7 @@ proptest! {
 
     #[test]
     fn gm_is_nonnegative_in_forward_operation(m in ntype_model(), vgs in 0.0..3.0f64, vds in 0.05..3.0f64) {
-        prop_assert!(m.gm(vgs, vds) >= -1e-15);
+        prop_assert!(m.linearize(vgs, vds).gm >= -1e-15);
     }
 
     #[test]

@@ -39,8 +39,6 @@ pub enum Op {
     AddRowBroadcast(NodeId, NodeId),
     /// `a [n×d] * b [n×1]` broadcast over columns (attention weighting).
     MulColBroadcast(NodeId, NodeId),
-    /// Multiplication by a compile-time scalar.
-    Scale(NodeId, f64),
     /// Rectified linear unit.
     Relu(NodeId),
     /// Leaky ReLU with the given negative slope.
@@ -337,13 +335,6 @@ impl Graph {
         self.push(out, Op::MulColBroadcast(a, b))
     }
 
-    /// Scalar multiplication.
-    pub fn scale(&mut self, a: NodeId, s: f64) -> NodeId {
-        let mut v = self.pool.lease_copy(&self.nodes[a.0].value);
-        v.scale(s);
-        self.push(v, Op::Scale(a, s))
-    }
-
     /// Rectified linear unit.
     pub fn relu(&mut self, a: NodeId) -> NodeId {
         let v = self.map_unary(a, kernels::relu);
@@ -627,11 +618,6 @@ impl Graph {
                     accumulate(pool, &mut grads, a.0, da);
                     accumulate(pool, &mut grads, b.0, db);
                     pool.recycle(g);
-                }
-                Op::Scale(a, s) => {
-                    let mut da = g;
-                    da.scale(*s);
-                    accumulate(pool, &mut grads, a.0, da);
                 }
                 Op::Relu(a) => {
                     let av = &nodes[a.0].value;
@@ -1200,8 +1186,7 @@ mod tests {
             let b = g.param(p, w2);
             let ha = g.matmul(xi, a);
             let hb = g.matmul(xi, b);
-            let scaled = g.scale(hb, 0.7);
-            let cat = g.concat_cols(&[ha, scaled]);
+            let cat = g.concat_cols(&[ha, hb]);
             g.mse_loss(cat, ti)
         });
     }

@@ -337,33 +337,6 @@ where
         .collect())
 }
 
-/// Runs `f(chunk_index, chunk)` over disjoint `chunk_size` windows of
-/// `data` in parallel. Chunks are claimed in increasing index order;
-/// panics are rethrown as with [`par_map`].
-pub fn par_chunks_mut<T, F>(config: ParConfig, data: &mut [T], chunk_size: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let chunk_size = chunk_size.max(1);
-    let _region = stco_obs::span!(
-        "par.chunks_mut",
-        items = data.len(),
-        chunk_size = chunk_size,
-        threads = config.threads
-    );
-    let chunks: Vec<Mutex<Option<&mut [T]>>> = data
-        .chunks_mut(chunk_size)
-        .map(|c| Mutex::new(Some(c)))
-        .collect();
-    dispatch(config.threads, chunks.len(), |i| {
-        if let Some(chunk) = lock_ignore_poison(&chunks[i]).take() {
-            f(i, chunk);
-        }
-        true
-    });
-}
-
 /// Number of reduction chunks [`par_map_reduce`] partitions the input
 /// into. Fixed (never derived from the thread count) so the f64
 /// fold/merge order — and therefore rounding — is a pure function of

@@ -6,8 +6,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use stco_numerics::NumericsError;
 use stco_par::{
-    in_parallel_region, par_chunks_mut, par_map, par_map_reduce, set_global_threads, try_par_map,
-    ParConfig, REDUCE_CHUNKS,
+    in_parallel_region, par_map, par_map_reduce, set_global_threads, try_par_map, ParConfig,
+    REDUCE_CHUNKS,
 };
 
 /// Thread counts exercised by every determinism assertion: serial, a
@@ -127,20 +127,6 @@ fn worker_panic_is_rethrown_and_pool_is_reusable() {
     // No poisoned state: the next region on the same thread works.
     let out = par_map(ParConfig::with_threads(4), &items, |&x| x);
     assert_eq!(out, items);
-}
-
-#[test]
-fn par_chunks_mut_touches_every_element_once() {
-    for t in THREAD_COUNTS {
-        let mut data = vec![0u32; 103];
-        par_chunks_mut(ParConfig::with_threads(t), &mut data, 10, |ci, chunk| {
-            for (k, v) in chunk.iter_mut().enumerate() {
-                *v += (ci * 10 + k + 1) as u32;
-            }
-        });
-        let expect: Vec<u32> = (1..=103).collect();
-        assert_eq!(data, expect, "t={t}");
-    }
 }
 
 #[test]

@@ -2,7 +2,8 @@
 //! stack.
 //!
 //! The paper frames the GNN surrogates as amortized, query-many assets;
-//! this crate serves them:
+//! this crate serves the one queried per cell, corner and arc, the GCN
+//! cell model (the device surrogates run inside the STCO loop):
 //!
 //! * [`service`] — an in-process [`ModelService`] **sharded N ways**:
 //!   each shard owns a warm `Arc` model cache and a bounded
@@ -12,9 +13,9 @@
 //!   and keeps `predict_batch` grouping dense. Concurrent requests
 //!   coalesce (up to [`BatchConfig::max_batch`], or until the oldest
 //!   waits [`BatchConfig::max_linger`]) into one batched forward pass
-//!   executed on the [`stco_par`] pool. Replies are bitwise-identical
-//!   to serial `predict` calls: each request runs the same single-item
-//!   forward graph, batching only schedules them together. Admission
+//!   executed on the [`stco_par`] pool: a model's valid requests run as
+//!   one packed `predict_batch`, and each reply is bitwise-identical to
+//!   a serial `predict_many` call on the request alone. Admission
 //!   control stacks three layers: per-request deadlines, shedding
 //!   watermarks (typed `overloaded` rejects before the hard bound) and
 //!   bounded-queue backpressure (`queue-full`). Per-shard graceful
@@ -48,7 +49,7 @@ pub mod service;
 
 pub use client::Client;
 pub use mux::{Extension, TcpServer};
-pub use service::{BatchConfig, LoadedModel, ModelService, PredictInput, SlowRequest};
+pub use service::{BatchConfig, ModelService, PredictInput, SlowRequest};
 
 use std::fmt;
 

@@ -50,8 +50,6 @@
 use std::io::{Read, Write};
 
 use stco_cells::encode::{CellGraph, CellNodeKind};
-use stco_nn::gnn::GraphData;
-use stco_numerics::Matrix;
 use stco_obs::json::JsonValue;
 use stco_store::ArtifactKey;
 
@@ -382,39 +380,6 @@ fn edges_from_json(doc: &JsonValue, key: &str) -> Result<Vec<(usize, usize)>> {
         .collect()
 }
 
-fn matrix_to_json(m: &Matrix) -> JsonValue {
-    obj(vec![
-        ("rows", num(m.rows())),
-        ("cols", num(m.cols())),
-        (
-            "data",
-            JsonValue::Arr(m.as_slice().iter().map(|v| JsonValue::Num(*v)).collect()),
-        ),
-    ])
-}
-
-fn matrix_from_json(doc: &JsonValue, key: &str) -> Result<Matrix> {
-    let m = doc
-        .get(key)
-        .ok_or_else(|| proto(format!("missing matrix field {key:?}")))?;
-    let rows = m
-        .get("rows")
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| proto("matrix missing rows"))? as usize;
-    let cols = m
-        .get("cols")
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| proto("matrix missing cols"))? as usize;
-    let data = f64_vec(m, "data")?;
-    if rows.checked_mul(cols) != Some(data.len()) {
-        return Err(proto(format!(
-            "matrix {key:?} claims {rows}×{cols} but carries {} values",
-            data.len()
-        )));
-    }
-    Ok(Matrix::from_vec(rows, cols, data))
-}
-
 const KIND_TAGS: [(CellNodeKind, u64); 6] = [
     (CellNodeKind::Input, 0),
     (CellNodeKind::Output, 1),
@@ -492,68 +457,40 @@ fn cell_graph_from_json(doc: &JsonValue) -> Result<CellGraph> {
     })
 }
 
-fn device_graph_to_json(graph: &GraphData) -> JsonValue {
-    obj(vec![
-        ("node_features", matrix_to_json(&graph.node_features)),
-        ("edges", edges_to_json(&graph.edges)),
-        ("edge_features", matrix_to_json(&graph.edge_features)),
-    ])
-}
-
-fn device_graph_from_json(doc: &JsonValue) -> Result<GraphData> {
-    Ok(GraphData {
-        node_features: matrix_from_json(doc, "node_features")?,
-        edges: edges_from_json(doc, "edges")?,
-        edge_features: matrix_from_json(doc, "edge_features")?,
-    })
-}
-
 /// Encodes a predict input as its wire JSON.
 #[must_use]
 pub fn input_to_json(input: &PredictInput) -> JsonValue {
-    match input {
-        PredictInput::Cell { graph, metrics } => obj(vec![
-            ("task", JsonValue::Str("cell".to_string())),
-            (
-                "metrics",
-                JsonValue::Arr(metrics.iter().map(|m| num(*m)).collect()),
-            ),
-            ("graph", cell_graph_to_json(graph)),
-        ]),
-        PredictInput::Poisson { graph } => obj(vec![
-            ("task", JsonValue::Str("poisson".to_string())),
-            ("graph", device_graph_to_json(graph)),
-        ]),
-        PredictInput::Iv { graph } => obj(vec![
-            ("task", JsonValue::Str("iv".to_string())),
-            ("graph", device_graph_to_json(graph)),
-        ]),
-    }
+    let PredictInput::Cell { graph, metrics } = input;
+    obj(vec![
+        ("task", JsonValue::Str("cell".to_string())),
+        (
+            "metrics",
+            JsonValue::Arr(metrics.iter().map(|m| num(*m)).collect()),
+        ),
+        ("graph", cell_graph_to_json(graph)),
+    ])
 }
 
 /// Decodes a predict input from its wire JSON.
 ///
 /// # Errors
 ///
-/// [`ServeError::Protocol`] on unknown tasks or malformed payloads.
+/// [`ServeError::Protocol`] on malformed payloads and on any task but
+/// `cell`: the service holds cell models alone.
 pub fn input_from_json(doc: &JsonValue) -> Result<PredictInput> {
     let task = str_field(doc, "task")?;
+    if task != "cell" {
+        return Err(proto(format!(
+            "unknown task {task:?} (only \"cell\" is served)"
+        )));
+    }
     let graph = doc
         .get("graph")
         .ok_or_else(|| proto("missing field \"graph\""))?;
-    match task.as_str() {
-        "cell" => Ok(PredictInput::Cell {
-            graph: cell_graph_from_json(graph)?,
-            metrics: usize_vec(doc, "metrics")?,
-        }),
-        "poisson" => Ok(PredictInput::Poisson {
-            graph: device_graph_from_json(graph)?,
-        }),
-        "iv" => Ok(PredictInput::Iv {
-            graph: device_graph_from_json(graph)?,
-        }),
-        other => Err(proto(format!("unknown task {other:?}"))),
-    }
+    Ok(PredictInput::Cell {
+        graph: cell_graph_from_json(graph)?,
+        metrics: usize_vec(doc, "metrics")?,
+    })
 }
 
 impl Request {

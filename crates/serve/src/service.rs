@@ -18,10 +18,13 @@
 //! drains a batch when either (a) [`BatchConfig::max_batch`] requests
 //! are waiting, or (b) the *oldest* waiting request has lingered
 //! [`BatchConfig::max_linger`] — so a lone request pays at most the
-//! linger, and a burst fills batches immediately. The batch executes as
-//! one [`stco_par::par_map`] over the items; each item runs exactly the
-//! forward graph a serial `predict` call runs, so batched replies are
-//! bitwise-identical to serial ones at every thread count.
+//! linger, and a burst fills batches immediately. Within a batch, a
+//! request that fails [`PredictInput::validate`] is answered
+//! [`ServeError::BadInput`], and the valid requests for one model run as
+//! one packed [`CellModel::predict_batch`]; the per-model groups run as
+//! one [`stco_par::par_map`]. Each reply is bitwise-identical to a
+//! serial [`CellModel::predict_many`] call on the request alone, at
+//! every thread count.
 //!
 //! # Admission control, backpressure and deadlines
 //!
@@ -75,12 +78,8 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use stco_cells::encode::{CellGraph, FEATURE_DIM};
-use stco_nn::gnn::GraphData;
-use stco_store::{Artifact, ArtifactKey, Registry};
+use stco_store::{ArtifactKey, Registry};
 use stco_surrogate::cell_model::{BatchedCellGraph, CellModel, METRICS};
-use stco_surrogate::encoding::{EDGE_DIM, NODE_DIM};
-use stco_surrogate::iv_predictor::IvPredictor;
-use stco_surrogate::poisson_emulator::PoissonEmulator;
 
 use crate::{Result, ServeError};
 
@@ -206,84 +205,8 @@ fn shards_from_env() -> usize {
         .min(64)
 }
 
-/// A model rehydrated from an artifact, ready to answer predictions.
-#[derive(Debug)]
-pub enum LoadedModel {
-    /// GCN cell-characterization model.
-    Cell(CellModel),
-    /// RelGAT Poisson emulator.
-    Poisson(PoissonEmulator),
-    /// RelGAT IV predictor.
-    Iv(IvPredictor),
-}
-
-impl LoadedModel {
-    /// Rehydrates whichever model kind the artifact holds.
-    ///
-    /// # Errors
-    ///
-    /// [`stco_store::StoreError::WrongKind`] for artifact kinds that
-    /// are not servable models, plus any rehydration failure.
-    pub fn from_artifact(
-        artifact: &Artifact,
-    ) -> std::result::Result<LoadedModel, stco_store::StoreError> {
-        match artifact.kind.as_str() {
-            CellModel::ARTIFACT_KIND => Ok(LoadedModel::Cell(CellModel::from_artifact(artifact)?)),
-            PoissonEmulator::ARTIFACT_KIND => Ok(LoadedModel::Poisson(
-                PoissonEmulator::from_artifact(artifact)?,
-            )),
-            IvPredictor::ARTIFACT_KIND => {
-                Ok(LoadedModel::Iv(IvPredictor::from_artifact(artifact)?))
-            }
-            other => Err(stco_store::StoreError::WrongKind {
-                expected: "a servable model kind".to_string(),
-                found: other.to_string(),
-            }),
-        }
-    }
-
-    /// The artifact kind this model was loaded from.
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            LoadedModel::Cell(_) => CellModel::ARTIFACT_KIND,
-            LoadedModel::Poisson(_) => PoissonEmulator::ARTIFACT_KIND,
-            LoadedModel::Iv(_) => IvPredictor::ARTIFACT_KIND,
-        }
-    }
-
-    /// Runs one prediction — the exact forward pass a direct
-    /// `predict`/`predict_many` call runs, so the result is bitwise
-    /// identical to in-process inference.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::BadInput`] when the payload does not fit the
-    /// model (wrong task, inconsistent shapes, out-of-range indices).
-    pub fn predict(&self, input: &PredictInput) -> Result<Vec<f64>> {
-        input.validate()?;
-        match (self, input) {
-            (LoadedModel::Cell(model), PredictInput::Cell { graph, metrics }) => {
-                Ok(model.predict_many(graph, metrics))
-            }
-            (LoadedModel::Poisson(model), PredictInput::Poisson { graph }) => {
-                Ok(model.predict_graph(graph))
-            }
-            (LoadedModel::Iv(model), PredictInput::Iv { graph }) => {
-                Ok(vec![model.predict_log_current_graph(graph)])
-            }
-            _ => Err(ServeError::BadInput {
-                context: format!(
-                    "input task {:?} does not match model kind {:?}",
-                    input.task(),
-                    self.kind()
-                ),
-            }),
-        }
-    }
-}
-
-/// One predict request payload.
+/// One predict request payload. The service holds GCN cell models
+/// alone, so a cell-metric query is the one kind of request.
 #[derive(Debug, Clone)]
 pub enum PredictInput {
     /// Cell-metric prediction over a Table III cell graph.
@@ -293,29 +216,9 @@ pub enum PredictInput {
         /// Metric indices to read (into `METRICS`).
         metrics: Vec<usize>,
     },
-    /// Per-node potential map over an encoded device graph.
-    Poisson {
-        /// The encoded device graph (Poisson task features).
-        graph: GraphData,
-    },
-    /// `log₁₀|I_D|` over an encoded device graph.
-    Iv {
-        /// The encoded device graph (IV task features).
-        graph: GraphData,
-    },
 }
 
 impl PredictInput {
-    /// Short task tag (the wire `task` field).
-    #[must_use]
-    pub fn task(&self) -> &'static str {
-        match self {
-            PredictInput::Cell { .. } => "cell",
-            PredictInput::Poisson { .. } => "poisson",
-            PredictInput::Iv { .. } => "iv",
-        }
-    }
-
     /// Validates internal consistency (shapes, index ranges).
     ///
     /// # Errors
@@ -323,61 +226,31 @@ impl PredictInput {
     /// [`ServeError::BadInput`] with a description of the violation.
     pub fn validate(&self) -> Result<()> {
         let bad = |context: String| Err(ServeError::BadInput { context });
-        match self {
-            PredictInput::Cell { graph, metrics } => {
-                let n = graph.num_nodes();
-                if graph.features.len() != n * FEATURE_DIM {
-                    return bad(format!(
-                        "cell graph has {} feature values for {n} nodes (want {})",
-                        graph.features.len(),
-                        n * FEATURE_DIM
-                    ));
-                }
-                if graph.labels.len() != n {
-                    return bad(format!("{} labels for {n} nodes", graph.labels.len()));
-                }
-                if n == 0 {
-                    return bad("empty cell graph".to_string());
-                }
-                if let Some((s, d)) = graph.edges.iter().find(|(s, d)| *s >= n || *d >= n) {
-                    return bad(format!("edge ({s},{d}) out of range for {n} nodes"));
-                }
-                if metrics.is_empty() {
-                    return bad("no metrics requested".to_string());
-                }
-                if let Some(m) = metrics.iter().find(|m| **m >= METRICS.len()) {
-                    return bad(format!("metric index {m} out of range"));
-                }
-                Ok(())
-            }
-            PredictInput::Poisson { graph } | PredictInput::Iv { graph } => {
-                let n = graph.num_nodes();
-                if n == 0 {
-                    return bad("empty device graph".to_string());
-                }
-                if graph.node_features.cols() != NODE_DIM {
-                    return bad(format!(
-                        "device graph has node dim {} (want {NODE_DIM})",
-                        graph.node_features.cols()
-                    ));
-                }
-                if graph.edge_features.rows() != graph.edges.len()
-                    || graph.edge_features.cols() != EDGE_DIM
-                {
-                    return bad(format!(
-                        "edge features are {}×{} for {} edges (want {}×{EDGE_DIM})",
-                        graph.edge_features.rows(),
-                        graph.edge_features.cols(),
-                        graph.edges.len(),
-                        graph.edges.len()
-                    ));
-                }
-                if let Some((s, d)) = graph.edges.iter().find(|(s, d)| *s >= n || *d >= n) {
-                    return bad(format!("edge ({s},{d}) out of range for {n} nodes"));
-                }
-                Ok(())
-            }
+        let PredictInput::Cell { graph, metrics } = self;
+        let n = graph.num_nodes();
+        if graph.features.len() != n * FEATURE_DIM {
+            return bad(format!(
+                "cell graph has {} feature values for {n} nodes (want {})",
+                graph.features.len(),
+                n * FEATURE_DIM
+            ));
         }
+        if graph.labels.len() != n {
+            return bad(format!("{} labels for {n} nodes", graph.labels.len()));
+        }
+        if n == 0 {
+            return bad("empty cell graph".to_string());
+        }
+        if let Some((s, d)) = graph.edges.iter().find(|(s, d)| *s >= n || *d >= n) {
+            return bad(format!("edge ({s},{d}) out of range for {n} nodes"));
+        }
+        if metrics.is_empty() {
+            return bad("no metrics requested".to_string());
+        }
+        if let Some(m) = metrics.iter().find(|m| **m >= METRICS.len()) {
+            return bad(format!("metric index {m} out of range"));
+        }
+        Ok(())
     }
 }
 
@@ -389,7 +262,7 @@ type ReplyFn = Box<dyn FnOnce(Result<Vec<f64>>) + Send>;
 
 struct Pending {
     trace_id: u64,
-    model: Arc<LoadedModel>,
+    model: Arc<CellModel>,
     input: PredictInput,
     enqueued: Instant,
     deadline: Instant,
@@ -499,7 +372,7 @@ pub struct ModelService {
     /// One warm model cache per shard — a model lives only in its home
     /// shard (the one its id routes to), so shard workers never share
     /// cache locks.
-    models: Vec<RwLock<HashMap<String, Arc<LoadedModel>>>>,
+    models: Vec<RwLock<HashMap<String, Arc<CellModel>>>>,
     shared: Arc<Shared>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
@@ -576,14 +449,15 @@ impl ModelService {
         self.shared.ring.route(model_id)
     }
 
-    /// Loads an artifact from the registry into its home shard's warm
-    /// cache and returns its model id. A hit on an already-loaded id
-    /// is free.
+    /// Loads a cell-model artifact from the registry into its home
+    /// shard's warm cache and returns its model id. A hit on an
+    /// already-loaded id is free.
     ///
     /// # Errors
     ///
     /// [`ServeError::UnknownModel`] when the registry has no such
-    /// artifact, [`ServeError::Store`] on read/decode failures.
+    /// artifact, [`ServeError::Store`] on read/decode failures and for
+    /// an artifact of any kind but [`CellModel::ARTIFACT_KIND`].
     pub fn load(&self, kind: &str, key: ArtifactKey) -> Result<String> {
         let _span = stco_obs::span!("serve.load");
         let id = Self::model_id(kind, key);
@@ -601,7 +475,7 @@ impl ModelService {
         let artifact = registry
             .load(kind, key)?
             .ok_or_else(|| ServeError::UnknownModel { id: id.clone() })?;
-        let model = LoadedModel::from_artifact(&artifact)?;
+        let model = CellModel::from_artifact(&artifact)?;
         self.install(&id, model);
         stco_obs::event!("serve.model_loaded", model = id.as_str(), shard = shard);
         Ok(id)
@@ -610,7 +484,7 @@ impl ModelService {
     /// Installs an in-memory model under an id (no registry round-trip
     /// — used by tests and single-process pipelines). The model lands
     /// in the shard its id routes to.
-    pub fn install(&self, id: &str, model: LoadedModel) {
+    pub fn install(&self, id: &str, model: CellModel) {
         let shard = self.shard_for(id);
         let mut models = self.models[shard]
             .write()
@@ -945,7 +819,7 @@ fn worker_loop(shared: &Shared, shard_idx: usize) {
         // out for one parallel pass. Reply sinks are kept aside (the
         // callback boxes are not Sync); the (model, input) pairs are.
         let drained = Instant::now();
-        let mut work: Vec<(Arc<LoadedModel>, PredictInput)> = Vec::with_capacity(batch_size);
+        let mut work: Vec<(Arc<CellModel>, PredictInput)> = Vec::with_capacity(batch_size);
         let mut repliers: Vec<(ReplyFn, Instant, bool, u64)> = Vec::with_capacity(batch_size);
         for p in batch {
             let expired = drained > p.deadline;
@@ -1016,8 +890,8 @@ fn worker_loop(shared: &Shared, shard_idx: usize) {
     }
 }
 
-/// The valid cell-graph requests of a drained batch that share one
-/// model, answered together by one [`CellModel::predict_batch`].
+/// The valid requests of a drained batch that share one model,
+/// answered together by one [`CellModel::predict_batch`].
 struct CellGroup<'a> {
     model: &'a CellModel,
     members: Vec<usize>,
@@ -1025,75 +899,50 @@ struct CellGroup<'a> {
     metrics: Vec<&'a [usize]>,
 }
 
-/// One forward-pass unit of a drained batch.
-enum ForwardTask<'a> {
-    /// A device-model or invalid request, run on its own.
-    Single(usize),
-    /// Every valid cell request for one model.
-    Cells(CellGroup<'a>),
-}
-
-/// Executes one drained batch. Valid cell-graph requests that share a
-/// model are packed into one block-diagonal [`BatchedCellGraph`] and
-/// answered by a single [`CellModel::predict_batch`] trunk evaluation —
-/// a few large blocked GEMMs instead of one small GEMM chain per
-/// request. A lone cell request is a batch of one, which is exactly what
-/// [`CellModel::predict_many`] runs. Device-model and invalid requests
-/// run the per-item [`LoadedModel::predict`], which reports
-/// [`ServeError::BadInput`]. The output is indexed like `work`, and every
-/// value is bitwise-identical to the per-item [`LoadedModel::predict`]
-/// result (DESIGN.md §15).
-fn forward_batch(work: &[(Arc<LoadedModel>, PredictInput)]) -> Vec<Result<Vec<f64>>> {
+/// Executes one drained batch. A request that fails
+/// [`PredictInput::validate`] gets its [`ServeError::BadInput`] here,
+/// without a forward. The valid requests that share a model are packed
+/// into one block-diagonal [`BatchedCellGraph`] and answered by a single
+/// [`CellModel::predict_batch`] trunk evaluation — a few large blocked
+/// GEMMs instead of one small GEMM chain per request. A lone request is
+/// a batch of one, which is exactly what [`CellModel::predict_many`]
+/// runs. The output is indexed like `work`, and every value is
+/// bitwise-identical to [`CellModel::predict_many`] on the request
+/// alone (DESIGN.md §15).
+fn forward_batch(work: &[(Arc<CellModel>, PredictInput)]) -> Vec<Result<Vec<f64>>> {
     // Group by model identity (Arc pointer), in order of first member,
-    // so the task list does not depend on allocator-chosen addresses.
+    // so the group list does not depend on allocator-chosen addresses.
+    // A valid request's slot holds an empty placeholder until its
+    // group's forward fills it.
+    let mut results: Vec<Result<Vec<f64>>> = Vec::with_capacity(work.len());
     let mut groups: Vec<CellGroup> = Vec::new();
-    let mut group_of: HashMap<*const LoadedModel, usize> = HashMap::new();
-    let mut singles: Vec<usize> = Vec::new();
+    let mut group_of: HashMap<*const CellModel, usize> = HashMap::new();
     for (i, (model, input)) in work.iter().enumerate() {
-        match (model.as_ref(), input) {
-            (LoadedModel::Cell(cell), PredictInput::Cell { graph, metrics })
-                if input.validate().is_ok() =>
-            {
-                let g = *group_of.entry(Arc::as_ptr(model)).or_insert_with(|| {
-                    groups.push(CellGroup {
-                        model: cell,
-                        members: Vec::new(),
-                        graphs: Vec::new(),
-                        metrics: Vec::new(),
-                    });
-                    groups.len() - 1
+        let checked = input.validate();
+        if checked.is_ok() {
+            let PredictInput::Cell { graph, metrics } = input;
+            let g = *group_of.entry(Arc::as_ptr(model)).or_insert_with(|| {
+                groups.push(CellGroup {
+                    model,
+                    members: Vec::new(),
+                    graphs: Vec::new(),
+                    metrics: Vec::new(),
                 });
-                groups[g].members.push(i);
-                groups[g].graphs.push(graph);
-                groups[g].metrics.push(metrics.as_slice());
-            }
-            _ => singles.push(i),
+                groups.len() - 1
+            });
+            groups[g].members.push(i);
+            groups[g].graphs.push(graph);
+            groups[g].metrics.push(metrics.as_slice());
         }
+        results.push(checked.map(|()| Vec::new()));
     }
-    let tasks: Vec<ForwardTask> = groups
-        .into_iter()
-        .map(ForwardTask::Cells)
-        .chain(singles.into_iter().map(ForwardTask::Single))
-        .collect();
-    let produced = stco_par::par_map(stco_par::ParConfig::current(), &tasks, |task| match task {
-        ForwardTask::Single(i) => {
-            let (model, input) = &work[*i];
-            vec![(*i, model.predict(input))]
-        }
-        ForwardTask::Cells(group) => {
-            let packed = BatchedCellGraph::pack(&group.graphs);
-            let outs = group.model.predict_batch(&packed, &group.metrics);
-            let members = group.members.iter().copied();
-            members.zip(outs.into_iter().map(Ok)).collect()
-        }
+    let produced = stco_par::par_map(stco_par::ParConfig::current(), &groups, |group| {
+        let packed = BatchedCellGraph::pack(&group.graphs);
+        group.model.predict_batch(&packed, &group.metrics)
     });
-    // Every index is covered by exactly one task; the placeholder only
-    // survives if a task were somehow dropped.
-    let mut results: Vec<Result<Vec<f64>>> =
-        work.iter().map(|_| Err(ServeError::ShuttingDown)).collect();
-    for pairs in produced {
-        for (i, r) in pairs {
-            results[i] = r;
+    for (group, outs) in groups.iter().zip(produced) {
+        for (&i, out) in group.members.iter().zip(outs) {
+            results[i] = Ok(out);
         }
     }
     results

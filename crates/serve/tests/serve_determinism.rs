@@ -13,10 +13,12 @@ use std::time::Duration;
 use stco_cells::library::CellKind;
 use stco_serve::demo::{demo_graph, demo_key, train_demo_model, DEMO_CELLS};
 use stco_serve::protocol::{read_frame, write_frame, Reply, Request};
-use stco_serve::service::{BatchConfig, LoadedModel, ModelService, PredictInput};
+use stco_serve::service::{BatchConfig, ModelService, PredictInput};
 use stco_serve::{Client, ServeError, TcpServer};
-use stco_store::Registry;
+use stco_store::{ArtifactKey, Registry};
 use stco_surrogate::cell_model::{CellModel, METRICS};
+use stco_surrogate::encoding::{EDGE_DIM, NODE_DIM};
+use stco_surrogate::poisson_emulator::{PoissonConfig, PoissonEmulator};
 
 fn demo_service(batch: BatchConfig) -> (Arc<ModelService>, CellModel, String) {
     let model = train_demo_model().expect("train demo model");
@@ -24,7 +26,7 @@ fn demo_service(batch: BatchConfig) -> (Arc<ModelService>, CellModel, String) {
     let id = "cell-model:demo".to_string();
     service.install(
         &id,
-        LoadedModel::Cell(CellModel::from_artifact(&model.to_artifact()).expect("rehydrate")),
+        CellModel::from_artifact(&model.to_artifact()).expect("rehydrate"),
     );
     (service, model, id)
 }
@@ -123,7 +125,7 @@ fn assert_sharded_matches_serial(threads: usize) {
     for alias in &aliases {
         service.install(
             alias,
-            LoadedModel::Cell(CellModel::from_artifact(&model.to_artifact()).expect("rehydrate")),
+            CellModel::from_artifact(&model.to_artifact()).expect("rehydrate"),
         );
     }
     let homes: std::collections::BTreeSet<usize> =
@@ -231,6 +233,166 @@ fn unknown_model_and_bad_input_are_typed() {
         .expect_err("no metrics");
     assert!(matches!(err, ServeError::BadInput { .. }), "{err}");
     service.shutdown();
+}
+
+/// One drained batch that mixes valid and invalid requests for one
+/// model: each invalid request is answered `BadInput`, and each valid
+/// one bitwise-equals serial `predict_many`, whatever its neighbours.
+#[test]
+fn mixed_batch_answers_bad_input_and_exact_values() {
+    let mut invalid_edge = demo_graph(CellKind::Nand2);
+    let nodes = invalid_edge.num_nodes();
+    invalid_edge.edges.push((0, nodes));
+    let mut short_features = demo_graph(CellKind::Inv);
+    short_features.features.pop();
+    let requests: Vec<(PredictInput, bool)> = vec![
+        (cell_input(CellKind::Inv, vec![0, 1]), true),
+        (cell_input(CellKind::Nand2, vec![METRICS.len()]), false),
+        (
+            cell_input(CellKind::Nor2, (0..METRICS.len()).collect()),
+            true,
+        ),
+        (cell_input(CellKind::Inv, vec![]), false),
+        (cell_input(CellKind::Nand2, vec![2, 5, 8]), true),
+        (
+            PredictInput::Cell {
+                graph: invalid_edge,
+                metrics: vec![0],
+            },
+            false,
+        ),
+        (cell_input(CellKind::Nor2, vec![4]), true),
+        (
+            PredictInput::Cell {
+                graph: short_features,
+                metrics: vec![0],
+            },
+            false,
+        ),
+    ];
+    let n = requests.len();
+    // The batch drains when it is full, so every request shares it; the
+    // linger only bounds the wait if one were somehow lost.
+    let (service, model, id) = demo_service(BatchConfig {
+        max_batch: n,
+        max_linger: Duration::from_secs(5),
+        slow_log_k: n,
+        ..BatchConfig::default()
+    });
+    let expected: Vec<Option<Vec<u64>>> = requests
+        .iter()
+        .map(|(input, valid)| match input {
+            PredictInput::Cell { graph, metrics } if *valid => Some(
+                model
+                    .predict_many(graph, metrics)
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect(),
+            ),
+            _ => None,
+        })
+        .collect();
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    for (i, (input, _)) in requests.into_iter().enumerate() {
+        let tx = tx.clone();
+        service.submit_async(
+            &id,
+            input,
+            None,
+            Box::new(move |result| drop(tx.send((i, result)))),
+        );
+    }
+    let mut got: Vec<Option<Result<Vec<f64>, ServeError>>> = (0..n).map(|_| None).collect();
+    for _ in 0..n {
+        let (i, result) = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("every request is answered");
+        got[i] = Some(result);
+    }
+    for (i, (result, want)) in got.into_iter().zip(&expected).enumerate() {
+        match (result.expect("answered"), want) {
+            (Ok(values), Some(want)) => {
+                let bits: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(&bits, want, "request {i} must match serial predict_many");
+            }
+            (Err(ServeError::BadInput { .. }), None) => {}
+            (other, _) => panic!("request {i}: unexpected outcome {other:?}"),
+        }
+    }
+    let slow = service.slow_requests();
+    assert_eq!(slow.len(), n, "every request is logged");
+    assert!(
+        slow.iter().all(|r| r.batch_size == n),
+        "all {n} requests must drain as one batch: {slow:?}"
+    );
+    service.shutdown();
+}
+
+fn cell_input(kind: CellKind, metrics: Vec<usize>) -> PredictInput {
+    PredictInput::Cell {
+        graph: demo_graph(kind),
+        metrics,
+    }
+}
+
+/// The service serves the GCN cell model alone: loading a Poisson
+/// emulator's artifact is a typed `store` error, and nothing is cached.
+#[test]
+fn loading_a_device_model_is_a_store_error() {
+    let dir = std::env::temp_dir().join(format!("stco-serve-device-{}", std::process::id()));
+    let registry = Registry::open(&dir).expect("open registry");
+    let poisson = PoissonEmulator::new(PoissonConfig {
+        depth: 1,
+        heads: 1,
+        head_dim: 2,
+        ..PoissonConfig::default()
+    });
+    let key = ArtifactKey::from_parts(PoissonEmulator::ARTIFACT_KIND, &["serve-rejects"]);
+    registry.put(key, &poisson.to_artifact()).expect("export");
+
+    let service = ModelService::start(Some(registry), BatchConfig::default());
+    let err = service
+        .load(PoissonEmulator::ARTIFACT_KIND, key)
+        .expect_err("a device model is not served");
+    assert_eq!(err.code(), "store", "{err}");
+    assert!(service.loaded().is_empty(), "{:?}", service.loaded());
+    service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A predict frame for a device task is not part of the protocol: it
+/// answers `malformed-frame`, and the connection stays usable.
+#[test]
+fn device_task_predict_frames_are_malformed() {
+    use stco_obs::json::JsonValue;
+
+    let (service, _model, id) = demo_service(BatchConfig::default());
+    let server = TcpServer::start("127.0.0.1:0", service).expect("bind");
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+
+    // A well-formed two-node device graph, in the layout a device task
+    // would carry: only the task makes it malformed.
+    let matrix = |rows: usize, cols: usize| {
+        let data = vec!["0.5"; rows * cols].join(",");
+        format!(r#"{{"rows":{rows},"cols":{cols},"data":[{data}]}}"#)
+    };
+    let nodes = matrix(2, NODE_DIM);
+    let edges = matrix(2, EDGE_DIM);
+    let frame = JsonValue::parse(&format!(
+        r#"{{"op":"predict","model":"{id}","input":{{"task":"poisson","graph":{{"node_features":{nodes},"edges":[[0,1],[1,0]],"edge_features":{edges}}}}}}}"#
+    ))
+    .expect("parse");
+    write_frame(&mut stream, &frame).expect("write");
+    let reply = read_frame(&mut stream).expect("read").expect("reply");
+    match Reply::from_json(&reply).expect("decode") {
+        Reply::Error { code, .. } => assert_eq!(code, "malformed-frame"),
+        other => panic!("expected error reply, got {other:?}"),
+    }
+    write_frame(&mut stream, &Request::Ping.to_json()).expect("write");
+    let reply = read_frame(&mut stream).expect("read").expect("reply");
+    assert_eq!(Reply::from_json(&reply).expect("decode"), Reply::Pong);
+    server.stop();
 }
 
 #[test]
@@ -503,66 +665,34 @@ fn malformed_frames_get_typed_error_replies() {
 
 #[test]
 fn wire_json_roundtrips_inputs_exactly() {
-    let inputs = [
-        PredictInput::Cell {
-            graph: demo_graph(CellKind::Nand2),
-            metrics: vec![0, 4, 8],
+    let graph = demo_graph(CellKind::Nand2);
+    let metrics = vec![0, 4, 8];
+    let request = Request::Predict {
+        model: "m".to_string(),
+        input: PredictInput::Cell {
+            graph: graph.clone(),
+            metrics: metrics.clone(),
         },
-        PredictInput::Poisson {
-            graph: stco_nn::gnn::GraphData {
-                node_features: stco_numerics::Matrix::from_vec(
-                    2,
-                    stco_surrogate::encoding::NODE_DIM,
-                    (0..2 * stco_surrogate::encoding::NODE_DIM)
-                        .map(|i| (i as f64) * 0.125 - 1.0)
-                        .collect(),
-                ),
-                edges: vec![(0, 1), (1, 0)],
-                edge_features: stco_numerics::Matrix::from_vec(
-                    2,
-                    stco_surrogate::encoding::EDGE_DIM,
-                    vec![0.5, -0.25, 1.0, -0.5, 0.25, -1.0],
-                ),
-            },
+        deadline_ms: Some(123),
+    };
+    let rendered = request.to_json().render();
+    let parsed = stco_obs::json::JsonValue::parse(&rendered).expect("parse");
+    let back = Request::from_json(&parsed).expect("decode");
+    let Request::Predict {
+        input: PredictInput::Cell {
+            graph: g2,
+            metrics: m2,
         },
-    ];
-    for input in &inputs {
-        let request = Request::Predict {
-            model: "m".to_string(),
-            input: input.clone(),
-            deadline_ms: Some(123),
-        };
-        let rendered = request.to_json().render();
-        let parsed = stco_obs::json::JsonValue::parse(&rendered).expect("parse");
-        let back = Request::from_json(&parsed).expect("decode");
-        let Request::Predict {
-            input: back_input, ..
-        } = back
-        else {
-            panic!("decoded to a different op");
-        };
-        match (input, &back_input) {
-            (
-                PredictInput::Cell { graph, metrics },
-                PredictInput::Cell {
-                    graph: g2,
-                    metrics: m2,
-                },
-            ) => {
-                assert_eq!(metrics, m2);
-                assert_eq!(graph.kinds, g2.kinds);
-                assert_eq!(graph.labels, g2.labels);
-                assert_eq!(graph.edges, g2.edges);
-                let a: Vec<u64> = graph.features.iter().map(|v| v.to_bits()).collect();
-                let b: Vec<u64> = g2.features.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(a, b, "features must survive the wire bitwise");
-            }
-            (PredictInput::Poisson { graph }, PredictInput::Poisson { graph: g2 }) => {
-                assert_eq!(graph.edges, g2.edges);
-                assert_eq!(graph.node_features, g2.node_features);
-                assert_eq!(graph.edge_features, g2.edge_features);
-            }
-            _ => panic!("input changed task on the wire"),
-        }
-    }
+        ..
+    } = back
+    else {
+        panic!("decoded to a different op");
+    };
+    assert_eq!(metrics, m2);
+    assert_eq!(graph.kinds, g2.kinds);
+    assert_eq!(graph.labels, g2.labels);
+    assert_eq!(graph.edges, g2.edges);
+    let a: Vec<u64> = graph.features.iter().map(|v| v.to_bits()).collect();
+    let b: Vec<u64> = g2.features.iter().map(|v| v.to_bits()).collect();
+    assert_eq!(a, b, "features must survive the wire bitwise");
 }

@@ -26,7 +26,7 @@ use stco_cells::library::CellKind;
 use stco_obs::json::JsonValue;
 use stco_serve::demo::{demo_graph, train_demo_model};
 use stco_serve::protocol::{encode_frame, read_frame, write_frame, FrameDecoder, Reply, Request};
-use stco_serve::service::{BatchConfig, LoadedModel, ModelService, PredictInput};
+use stco_serve::service::{BatchConfig, ModelService, PredictInput};
 use stco_serve::{Client, Extension, ServeError, TcpServer};
 use stco_surrogate::cell_model::{CellModel, METRICS};
 
@@ -207,7 +207,7 @@ fn demo_server() -> (std::sync::Arc<TcpServer>, String, CellModel) {
     let rehydrated = CellModel::from_artifact(&model.to_artifact()).expect("rehydrate");
     let service = ModelService::start(None, BatchConfig::default());
     let id = "cell-model:torture".to_string();
-    service.install(&id, LoadedModel::Cell(rehydrated));
+    service.install(&id, rehydrated);
     let server = TcpServer::start("127.0.0.1:0", service).expect("bind");
     (server, id, model)
 }

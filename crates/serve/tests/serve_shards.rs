@@ -8,13 +8,13 @@ use std::time::Duration;
 
 use stco_cells::library::CellKind;
 use stco_serve::demo::{demo_graph, train_demo_model};
-use stco_serve::service::{BatchConfig, LoadedModel, ModelService, PredictInput};
+use stco_serve::service::{BatchConfig, ModelService, PredictInput};
 use stco_serve::{Client, ServeError, TcpServer};
 use stco_surrogate::cell_model::{CellModel, METRICS};
 
-fn demo_loaded() -> LoadedModel {
+fn demo_loaded() -> CellModel {
     let model = train_demo_model().expect("train demo model");
-    LoadedModel::Cell(CellModel::from_artifact(&model.to_artifact()).expect("rehydrate"))
+    CellModel::from_artifact(&model.to_artifact()).expect("rehydrate")
 }
 
 fn demo_input() -> PredictInput {

@@ -13,7 +13,7 @@ use stco_cells::library::CellKind;
 use stco_obs::json::JsonValue;
 use stco_serve::demo::{demo_graph, demo_key, train_demo_model};
 use stco_serve::protocol::{Reply, Request, ServerStats};
-use stco_serve::service::{BatchConfig, LoadedModel, ModelService, PredictInput, SlowRequest};
+use stco_serve::service::{BatchConfig, ModelService, PredictInput, SlowRequest};
 use stco_serve::{Client, TcpServer};
 use stco_store::Registry;
 use stco_surrogate::cell_model::{CellModel, METRICS};
@@ -88,7 +88,7 @@ fn service_records_worst_k_slow_requests() {
     let id = "cell-model:slowlog".to_string();
     service.install(
         &id,
-        LoadedModel::Cell(CellModel::from_artifact(&model.to_artifact()).expect("rehydrate")),
+        CellModel::from_artifact(&model.to_artifact()).expect("rehydrate"),
     );
 
     let metrics: Vec<usize> = (0..METRICS.len()).collect();

@@ -26,10 +26,8 @@ const MAX_NEWTON: usize = 900;
 /// Node-voltage update clamp per Newton iteration, V.
 const VOLTAGE_CLAMP: f64 = 0.3;
 
-/// Convergence threshold on the update infinity-norm. The TFT companion
-/// model uses central-difference derivatives, whose O(h²) inconsistency
-/// leaves a sub-µV limit cycle; 1 µV is far below any measured quantity
-/// (3 V swings, ns transitions).
+/// Convergence threshold on the update infinity-norm. 1 µV is far below
+/// any measured quantity (3 V swings, ns transitions).
 const UPDATE_TOL: f64 = 1e-6;
 
 /// Parasitic capacitance on every node during transient analysis, F.
@@ -621,13 +619,11 @@ fn stamp_all(
             } => {
                 let vgs = volt(*g) - volt(*s);
                 let vds = volt(*d) - volt(*s);
-                // Fused evaluation: one model pass yields the current and
-                // its analytic gm/gds, replacing the five evaluations the
-                // central-difference helpers used to cost per TFT. gm is
-                // legitimately negative when a stacked device operates
-                // with reversed V_DS, and clamping it corrupts the
-                // Jacobian (per-node g-min keeps the system nonsingular
-                // regardless).
+                // One model pass yields the current and its analytic
+                // gm/gds. gm is legitimately negative when a stacked
+                // device operates with reversed V_DS, and clamping it
+                // corrupts the Jacobian (per-node g-min keeps the system
+                // nonsingular regardless).
                 let lin = model.linearize(vgs, vds);
                 let (id0, gm, gds) = (lin.id, lin.gm, lin.gds);
                 // Companion: i_d = I_eq + gm·v_gs + gds·v_ds.

@@ -10,14 +10,14 @@
 use std::sync::Arc;
 
 use stco_nn::ad::kernels;
-use stco_nn::gnn::{edge_index_lists, EdgeProjections, GraphData, RelGatStack};
+use stco_nn::gnn::{EdgeProjections, RelGatStack};
 use stco_nn::layers::{Activation, Mlp};
 use stco_nn::train::{fit_parallel, TrainConfig};
 use stco_nn::Params;
 use stco_numerics::{stats, Matrix};
 use stco_tcad::dataset::DeviceSample;
 
-use crate::encoding::{encode_device, DeviceGraph, TaskFeatures, EDGE_DIM, NODE_DIM};
+use crate::encoding::{DeviceGraph, TaskFeatures, EDGE_DIM, NODE_DIM};
 use crate::poisson_emulator::RegressionMetrics;
 use crate::{Result, SurrogateError};
 
@@ -190,19 +190,15 @@ impl IvPredictor {
         (sample.log_current() - self.target_mean) / self.target_std
     }
 
-    /// Predicts `log₁₀|I_D|` for one sample.
+    /// Predicts `log₁₀|I_D|` for one sample: prepares the sample's mesh
+    /// and runs [`IvPredictor::predict_log_current_prepared`] on it, so a
+    /// loop over one device's solves prepares the mesh once and gets the
+    /// same bits.
     pub fn predict_log_current(&self, sample: &DeviceSample) -> f64 {
-        self.predict_log_current_graph(&encode_device(sample, TaskFeatures::Iv))
-    }
-
-    /// Predicts `log₁₀|I_D|` from an already-encoded device graph (the
-    /// serving path). Bitwise-identical to
-    /// [`IvPredictor::predict_log_current`] on the sample the graph was
-    /// encoded from.
-    pub fn predict_log_current_graph(&self, graph: &GraphData) -> f64 {
-        let (src, dst) = edge_index_lists(&graph.edges);
-        let edges = self.stack.project_edges(&self.params, &graph.edge_features);
-        self.infer(&graph.node_features, &src, &dst, &edges)
+        let mesh = DeviceGraph::new(&sample.device);
+        let edges = self.project_edges(&mesh);
+        let nodes = mesh.node_features(sample, TaskFeatures::Iv);
+        self.predict_log_current_prepared(&mesh, &edges, &nodes)
     }
 
     /// This model's edge projections on one device mesh: the part of a
@@ -215,20 +211,15 @@ impl IvPredictor {
     /// Predicts `log₁₀|I_D|` of one solve on a prepared mesh: `edges`
     /// from [`IvPredictor::project_edges`] on `mesh`, and `nodes` the
     /// solve's IV-task node features ([`DeviceGraph::node_features`] or
-    /// [`DeviceGraph::refresh`]). Bitwise-identical to
-    /// [`IvPredictor::predict_log_current`] on that solve.
+    /// [`DeviceGraph::refresh`]).
     pub fn predict_log_current_prepared(
         &self,
         mesh: &DeviceGraph,
         edges: &EdgeProjections,
         nodes: &Matrix,
     ) -> f64 {
-        self.infer(nodes, mesh.src(), mesh.dst(), edges)
-    }
-
-    /// The `log₁₀|I_D|` the trained weights predict.
-    fn infer(&self, nodes: &Matrix, src: &[usize], dst: &[usize], edges: &EdgeProjections) -> f64 {
-        self.standardized(&self.params, nodes, src, dst, edges) * self.target_std + self.target_mean
+        let z = self.standardized(&self.params, nodes, mesh.src(), mesh.dst(), edges);
+        z * self.target_std + self.target_mean
     }
 
     /// The off-tape forward every prediction and every validation runs,

@@ -8,16 +8,14 @@
 //! configuration explicitly.
 
 use stco_nn::ad::kernels;
-use stco_nn::gnn::{edge_index_lists, EdgeProjections, GraphData, RelGatStack};
+use stco_nn::gnn::{EdgeProjections, RelGatStack};
 use stco_nn::layers::{Activation, Mlp};
 use stco_nn::train::{fit_parallel, TrainConfig};
 use stco_nn::Params;
 use stco_numerics::{stats, Matrix};
 use stco_tcad::dataset::DeviceSample;
 
-use crate::encoding::{
-    encode_device, potential_targets, DeviceGraph, TaskFeatures, EDGE_DIM, NODE_DIM,
-};
+use crate::encoding::{potential_targets, DeviceGraph, TaskFeatures, EDGE_DIM, NODE_DIM};
 use crate::{Result, SurrogateError};
 
 /// Architecture hyperparameters.
@@ -181,19 +179,15 @@ impl PoissonEmulator {
         t
     }
 
-    /// Predicts the potential map of one sample (volts).
+    /// Predicts the potential map of one sample (volts): prepares the
+    /// sample's mesh and runs [`PoissonEmulator::predict_prepared`] on
+    /// it, so a loop over one device's solves prepares the mesh once
+    /// and gets the same bits.
     pub fn predict(&self, sample: &DeviceSample) -> Vec<f64> {
-        self.predict_graph(&encode_device(sample, TaskFeatures::Poisson))
-    }
-
-    /// Predicts the potential map from an already-encoded device graph
-    /// (the serving path: clients ship the encoding, not the TCAD
-    /// sample). Bitwise-identical to [`PoissonEmulator::predict`] on
-    /// the sample the graph was encoded from.
-    pub fn predict_graph(&self, graph: &GraphData) -> Vec<f64> {
-        let (src, dst) = edge_index_lists(&graph.edges);
-        let edges = self.stack.project_edges(&self.params, &graph.edge_features);
-        self.infer(&graph.node_features, &src, &dst, &edges)
+        let mesh = DeviceGraph::new(&sample.device);
+        let edges = self.project_edges(&mesh);
+        let nodes = mesh.node_features(sample, TaskFeatures::Poisson);
+        self.predict_prepared(&mesh, &edges, &nodes)
     }
 
     /// This model's edge projections on one device mesh: the part of a
@@ -203,29 +197,17 @@ impl PoissonEmulator {
         self.stack.project_edges(&self.params, mesh.edge_features())
     }
 
-    /// Predicts the potential map of one solve on a prepared mesh:
-    /// `edges` from [`PoissonEmulator::project_edges`] on `mesh`, and
-    /// `nodes` the solve's Poisson-task node features
+    /// Predicts the potential map of one solve on a prepared mesh, in
+    /// volts: `edges` from [`PoissonEmulator::project_edges`] on `mesh`,
+    /// and `nodes` the solve's Poisson-task node features
     /// ([`DeviceGraph::node_features`] or [`DeviceGraph::refresh`]).
-    /// Bitwise-identical to [`PoissonEmulator::predict`] on that solve.
     pub fn predict_prepared(
         &self,
         mesh: &DeviceGraph,
         edges: &EdgeProjections,
         nodes: &Matrix,
     ) -> Vec<f64> {
-        self.infer(nodes, mesh.src(), mesh.dst(), edges)
-    }
-
-    /// The potential map, in volts, the trained weights predict.
-    fn infer(
-        &self,
-        nodes: &Matrix,
-        src: &[usize],
-        dst: &[usize],
-        edges: &EdgeProjections,
-    ) -> Vec<f64> {
-        let pred = self.standardized(&self.params, nodes, src, dst, edges);
+        let pred = self.standardized(&self.params, nodes, mesh.src(), mesh.dst(), edges);
         pred.as_slice()
             .iter()
             .map(|v| v * self.target_std + self.target_mean)

@@ -21,7 +21,7 @@ use stco_nn::train::{TrainConfig, TrainHistory};
 use stco_surrogate::cell_model::{
     BatchedCellGraph, CellModel, CellModelConfig, CellSample, METRICS,
 };
-use stco_surrogate::encoding::{encode_device, TaskFeatures};
+use stco_surrogate::encoding::{encode_device, DeviceGraph, TaskFeatures};
 use stco_surrogate::iv_predictor::{IvConfig, IvPredictor};
 use stco_surrogate::pipeline::build_cell_dataset;
 use stco_surrogate::poisson_emulator::{PoissonConfig, PoissonEmulator};
@@ -65,7 +65,7 @@ const GOLDEN_ENCODING: [(&str, usize, [u64; 3]); 6] = [
 ];
 
 /// `(technology, bias index, fingerprint)` of the two Poisson emulators'
-/// `predict` and `predict_graph` outputs.
+/// `predict` and `predict_prepared` outputs.
 const GOLDEN_POISSON: [(&str, usize, u64); 6] = [
     ("CNT", 0, 0x5a4a36a03208100d),
     ("CNT", 1, 0xa0d0e257bc199b7d),
@@ -76,7 +76,7 @@ const GOLDEN_POISSON: [(&str, usize, u64); 6] = [
 ];
 
 /// `(technology, bias index, fingerprint)` of the two IV predictors'
-/// `predict_log_current` and `predict_log_current_graph` outputs.
+/// `predict_log_current` and `predict_log_current_prepared` outputs.
 const GOLDEN_IV: [(&str, usize, u64); 6] = [
     ("CNT", 0, 0xd99ad2d6df1766ed),
     ("CNT", 1, 0xccfd2c63ea35524d),
@@ -348,11 +348,13 @@ fn poisson_predictions_match_golden_fingerprints() {
     let got: Vec<(&str, usize, u64)> = devices()
         .iter()
         .map(|(name, k, sample)| {
-            let graph = encode_device(sample, TaskFeatures::Poisson);
+            let mesh = DeviceGraph::new(&sample.device);
+            let nodes = mesh.node_features(sample, TaskFeatures::Poisson);
             let mut values = Vec::new();
             for model in &models {
                 values.extend(model.predict(sample));
-                values.extend(model.predict_graph(&graph));
+                let edges = model.project_edges(&mesh);
+                values.extend(model.predict_prepared(&mesh, &edges, &nodes));
             }
             (*name, *k, fnv1a(value_bytes(&values)))
         })
@@ -366,13 +368,15 @@ fn iv_predictions_match_golden_fingerprints() {
     let got: Vec<(&str, usize, u64)> = devices()
         .iter()
         .map(|(name, k, sample)| {
-            let graph = encode_device(sample, TaskFeatures::Iv);
+            let mesh = DeviceGraph::new(&sample.device);
+            let nodes = mesh.node_features(sample, TaskFeatures::Iv);
             let values: Vec<f64> = models
                 .iter()
                 .flat_map(|m| {
+                    let edges = m.project_edges(&mesh);
                     [
                         m.predict_log_current(sample),
-                        m.predict_log_current_graph(&graph),
+                        m.predict_log_current_prepared(&mesh, &edges, &nodes),
                     ]
                 })
                 .collect();

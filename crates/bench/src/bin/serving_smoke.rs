@@ -13,30 +13,27 @@
 //!    lines;
 //! 5. runs the closed-loop latency-curve sweep (concurrency 4→512 via
 //!    `stco_bench::load_curve`, per-connection request scaling + warmup so
-//!    every step measures steady state), cross-checks the server's
-//!    rolling-window p99 against the exact client-side p99 (tolerance
-//!    below), and writes the `stco-serving-curve/v2` document to
-//!    `BENCH_serving.json` after validating it with
-//!    `stco_bench::validate_serving_curve`.
+//!    every step measures steady state), asserts zero errors per step,
+//!    and cross-checks each step's server p99 (its own requests' latency
+//!    buckets) against the step's exact client-side p99 (tolerance
+//!    below).
 //!
 //! Honours `STCO_SHARDS` (via `BatchConfig::default()`): CI's
 //! multi-shard leg runs the whole gate — bitwise phase included —
 //! against ≥ 2 worker shards, plus a drain/resume wire probe.
 //!
 //! **p99 tolerance.** The server quantile interpolates inside
-//! histogram buckets over the rolling window (every request since the
-//! window opened, all concurrency levels mixed) and times only the
-//! service's enqueue→reply span; the client quantile is an exact order
-//! statistic per step and includes TCP framing. The gate therefore
-//! only requires the two to agree within a factor of 4 or 2 ms,
-//! whichever is looser — see DESIGN.md §13.
+//! histogram buckets and times only the service's enqueue→reply span;
+//! the client quantile is an exact order statistic and includes TCP
+//! framing. The gate therefore only requires the two to agree within a
+//! factor of 4 or 2 ms, whichever is looser — see DESIGN.md §13.
 //!
 //! Honours `STCO_THREADS` like every other parallel path, so CI runs
 //! it at 1 and 4 threads.
 
 use std::time::Instant;
 
-use stco_bench::load_curve::{load_curve_to_json, run_load_curve, LoadCurveConfig};
+use stco_bench::load_curve::{run_load_curve, LoadCurveConfig};
 use stco_obs::json::JsonValue;
 use stco_par::ParConfig;
 use stco_serve::demo::{demo_graph, demo_key, train_demo_model, DEMO_CELLS};
@@ -200,9 +197,9 @@ fn main() {
         println!("drain/resume probe ok on shard {target}");
     }
 
-    // 5. Latency-curve sweep + BENCH_serving.json. Requests scale with
-    // concurrency (per-connection count + warmup) so every step
-    // measures a steady-state window of comparable duration.
+    // 5. Latency-curve sweep. Requests scale with concurrency
+    // (per-connection count + warmup) so every step measures a
+    // steady-state window of comparable duration.
     let sweep = LoadCurveConfig {
         addr: addr.clone(),
         model: model_id.clone(),
@@ -217,15 +214,17 @@ fn main() {
     for step in &steps {
         println!(
             "concurrency {:>3}: achieved {:>7.0} req/s (offered {:>7.0}), \
-             client p50 {:.3} ms / p99 {:.3} ms, shed {}, server window p99 {}",
+             client p50 {:.3} ms / p99 {:.3} ms over {}, shed {}, server p99 {} over {}",
             step.concurrency,
             step.achieved_rps,
             step.offered_rps,
             step.client_p50_seconds * 1e3,
             step.client_p99_seconds * 1e3,
+            step.ok,
             step.shed,
-            step.server_window_p99_seconds
+            step.server_p99_seconds
                 .map_or("n/a".to_string(), |p| format!("{:.3} ms", p * 1e3)),
+            step.server_count,
         );
         // Sheds are admission control doing its job under deliberate
         // overload; hard errors are not.
@@ -238,23 +237,24 @@ fn main() {
     }
 
     // Cross-check, per step: the service span (enqueue→reply) is a
-    // component of what the client times, so the server's rolling p99
-    // must never sit far *above* the step's client p99 (4x or 2 ms of
-    // bucket-interpolation slack). The reverse bound only holds while
-    // transport is cheap: past the core count the client number is
-    // dominated by multiplexer out-queues and kernel buffers that the
-    // service span deliberately excludes (DESIGN.md §13), so two-sided
-    // agreement is gated on the lowest-concurrency step only.
+    // component of what the client times, so the server p99 of the
+    // step's own requests must never sit far *above* its client p99
+    // (4x or 2 ms of bucket-interpolation slack). The reverse bound
+    // only holds while transport is cheap: past the core count the
+    // client number is dominated by multiplexer out-queues and kernel
+    // buffers that the service span deliberately excludes (DESIGN.md
+    // §13), so two-sided agreement is gated on the lowest-concurrency
+    // step only.
     for step in &steps {
-        let Some(server_p99) = step.server_window_p99_seconds else {
+        let Some(server_p99) = step.server_p99_seconds else {
             panic!(
-                "step at concurrency {} must carry a server window p99",
+                "step at concurrency {} must carry a server p99",
                 step.concurrency
             );
         };
         assert!(
             server_p99 <= step.client_p99_seconds * 4.0 + 2e-3,
-            "server rolling p99 {server_p99:.6}s exceeds client p99 {:.6}s at concurrency {} \
+            "server p99 {server_p99:.6}s exceeds client p99 {:.6}s at concurrency {} \
              beyond the documented tolerance (4x + 2 ms)",
             step.client_p99_seconds,
             step.concurrency
@@ -262,8 +262,8 @@ fn main() {
     }
     let low = steps.first().expect("sweep has steps");
     let low_server = low
-        .server_window_p99_seconds
-        .expect("first step carries a server window p99");
+        .server_p99_seconds
+        .expect("first step carries a server p99");
     let low_client = low.client_p99_seconds;
     let ratio_ok = low_server <= low_client * 4.0 && low_client <= low_server.max(1e-12) * 4.0;
     let abs_ok = (low_server - low_client).abs() <= 2e-3;
@@ -274,20 +274,13 @@ fn main() {
         low.concurrency
     );
     println!(
-        "p99 cross-check ok: server window {:.3} ms vs client {:.3} ms at concurrency {}, \
+        "p99 cross-check ok: server {:.3} ms vs client {:.3} ms at concurrency {}, \
          client max {:.3} ms across the sweep",
         low_server * 1e3,
         low_client * 1e3,
         low.concurrency,
         client_max_p99 * 1e3
     );
-
-    let doc = load_curve_to_json(ParConfig::current().threads, shard_count, true, &steps);
-    stco_bench::validate_serving_curve(&doc, SWEEP_STEPS.len())
-        .expect("BENCH_serving.json schema validation");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json");
-    std::fs::write(path, doc.render() + "\n").expect("write BENCH_serving.json");
-    println!("wrote {path}");
 
     // Graceful shutdown over the wire, then tear down.
     admin.shutdown().expect("shutdown");

@@ -3,7 +3,7 @@
 //! ```text
 //! stco_loadgen                              # self-host a demo server and sweep it
 //! stco_loadgen --addr HOST:PORT MODEL_ID   # sweep an already-running server
-//! stco_loadgen --steps 8,16,32 --requests 64 --warmup 8 --out curve.json
+//! stco_loadgen --steps 8,16,32 --requests 64 --warmup 8
 //! stco_loadgen --max-conns 128             # truncate the sweep at 128 connections
 //! ```
 //!
@@ -12,15 +12,15 @@
 //! every step measures steady state rather than connection-setup
 //! transients) through N closed-loop workers — own TCP connection
 //! each — and prints offered vs achieved throughput with exact
-//! client-side p50/p99 plus the typed-shed count, cross-referenced
-//! against the server's rolling `serve.latency_seconds` window fetched
-//! over the `metrics` op. `--out` writes the `stco-serving-curve/v2`
-//! document (schema-validated before writing).
+//! client-side p50/p99 plus the typed-shed count, next to the server's
+//! p99 over the step's own requests and how many it timed (the
+//! `serve.latency_seconds` buckets read over the `metrics` op before
+//! and after the step).
 //!
 //! Self-hosted runs honour `STCO_THREADS` for the forward pool and
 //! `STCO_SHARDS` for the worker-shard count, like the server binary.
 
-use stco_bench::load_curve::{load_curve_to_json, run_load_curve, LoadCurveConfig};
+use stco_bench::load_curve::{run_load_curve, LoadCurveConfig};
 use stco_par::ParConfig;
 use stco_serve::demo::{demo_graph, demo_key, train_demo_model, DEMO_CELLS};
 use stco_serve::service::{BatchConfig, ModelService, PredictInput};
@@ -40,7 +40,6 @@ struct Args {
     warmup_per_conn: usize,
     max_conns: Option<usize>,
     deadline_ms: u64,
-    out: Option<String>,
 }
 
 fn parse_args() -> Args {
@@ -52,7 +51,6 @@ fn parse_args() -> Args {
         warmup_per_conn: DEFAULT_WARMUP_PER_CONN,
         max_conns: None,
         deadline_ms: 10_000,
-        out: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -60,7 +58,7 @@ fn parse_args() -> Args {
         eprintln!(
             "usage: stco_loadgen [--addr HOST:PORT MODEL_ID] [--steps N,N,...] \
              [--requests PER_CONN] [--warmup PER_CONN] [--max-conns N] \
-             [--deadline-ms MS] [--out PATH]"
+             [--deadline-ms MS]"
         );
         std::process::exit(2);
     };
@@ -128,13 +126,6 @@ fn parse_args() -> Args {
                 }
                 i += 2;
             }
-            "--out" => {
-                if i + 1 >= argv.len() {
-                    usage();
-                }
-                args.out = Some(argv[i + 1].clone());
-                i += 2;
-            }
             _ => usage(),
         }
     }
@@ -190,7 +181,7 @@ fn main() {
     };
 
     let sweep = LoadCurveConfig {
-        addr: addr.clone(),
+        addr,
         model: model_id,
         inputs: demo_inputs(),
         steps: args.steps.clone(),
@@ -201,7 +192,7 @@ fn main() {
     let steps = run_load_curve(&sweep).expect("load sweep");
 
     println!(
-        "{:>11} {:>8} {:>7} {:>6} {:>12} {:>12} {:>11} {:>11} {:>14}",
+        "{:>11} {:>8} {:>7} {:>6} {:>12} {:>12} {:>11} {:>11} {:>14} {:>9}",
         "concurrency",
         "ok",
         "errors",
@@ -210,11 +201,12 @@ fn main() {
         "achieved r/s",
         "p50 ms",
         "p99 ms",
-        "server p99 ms"
+        "server p99 ms",
+        "server n"
     );
     for step in &steps {
         println!(
-            "{:>11} {:>8} {:>7} {:>6} {:>12.0} {:>12.0} {:>11.3} {:>11.3} {:>14}",
+            "{:>11} {:>8} {:>7} {:>6} {:>12.0} {:>12.0} {:>11.3} {:>11.3} {:>14} {:>9}",
             step.concurrency,
             step.ok,
             step.errors,
@@ -223,23 +215,10 @@ fn main() {
             step.achieved_rps,
             step.client_p50_seconds * 1e3,
             step.client_p99_seconds * 1e3,
-            step.server_window_p99_seconds
+            step.server_p99_seconds
                 .map_or("n/a".to_string(), |p| format!("{:.3}", p * 1e3)),
+            step.server_count,
         );
-    }
-
-    if let Some(out) = &args.out {
-        // The shard count comes from the live server, so remote sweeps
-        // (--addr) record it faithfully too.
-        let shards = Client::connect(&addr)
-            .and_then(|mut c| c.stats())
-            .map_or(1, |s| s.shards.max(1));
-        let doc = load_curve_to_json(ParConfig::current().threads, shards, false, &steps);
-        // Single steps (or user-chosen step lists) are fine here; only
-        // monotone concurrency and field consistency are enforced.
-        stco_bench::validate_serving_curve(&doc, 1).expect("serving curve schema");
-        std::fs::write(out, doc.render() + "\n").expect("write sweep JSON");
-        println!("wrote {out}");
     }
 
     if let Some((server, dir, addr, _)) = hosted {

@@ -1,5 +1,5 @@
 //! CI sweep-smoke gate: exercises the whole `stco-sweep` subsystem on a
-//! small grid and writes `BENCH_sweep.json` (`stco-sweep/v1`).
+//! small grid, asserting each gate where its value is computed.
 //!
 //! 1. **Real-flow kill/resume leg** — a 2-technology × 1-benchmark ×
 //!    2³-corner grid evaluated with [`FlowEval`] (traditional fast
@@ -16,9 +16,6 @@
 //!    grid. The gate: BayesOpt reaches the exhaustive grid optimum in
 //!    fewer total unique evaluations.
 //!
-//! The document is validated with `stco_bench::validate_sweep_bench`
-//! before it is written — the same check CI re-runs against the file.
-//!
 //! Honours `STCO_THREADS` like every other parallel path, so CI runs
 //! it at 1 and 4 threads; the fronts must not depend on the choice.
 
@@ -29,7 +26,6 @@ use std::time::Instant;
 use stco_compact::tech::CornerGrid;
 use stco_core::flow::TechnologyStage;
 use stco_core::rl::AgentConfig;
-use stco_obs::json::JsonValue;
 use stco_par::ParConfig;
 use stco_serve::{BatchConfig, Client, ModelService, TcpServer};
 use stco_store::Registry;
@@ -78,10 +74,6 @@ fn scratch_registry(base: &std::path::Path, leg: &str) -> Registry {
     let dir = base.join(leg);
     let _ = std::fs::remove_dir_all(&dir);
     Registry::open(&dir).expect("open scratch registry")
-}
-
-fn obj(pairs: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
 fn main() {
@@ -142,9 +134,8 @@ fn main() {
         "resume must not re-evaluate journaled scenarios"
     );
     let resumed_front = front_fingerprint(&pareto_front(&resumed_run.records));
-    let resume_bitwise = resumed_front == reference_front;
-    assert!(
-        resume_bitwise,
+    assert_eq!(
+        resumed_front, reference_front,
         "resumed front must bitwise-match the uninterrupted run"
     );
     println!(
@@ -187,9 +178,8 @@ fn main() {
     server.stop();
     service.shutdown();
     let remote_front = front_fingerprint(&pareto_front(&queue.records().expect("records")));
-    let remote_bitwise = remote_front == local_front;
-    assert!(
-        remote_bitwise,
+    assert_eq!(
+        remote_front, local_front,
         "remote front must bitwise-match the local engine"
     );
     println!(
@@ -218,69 +208,6 @@ fn main() {
         ablation.bayes_total,
         ablation.cells.len()
     );
-
-    // Assemble, validate, write.
-    let cells: Vec<JsonValue> = ablation
-        .cells
-        .iter()
-        .map(|c| {
-            obj(vec![
-                (
-                    "technology",
-                    JsonValue::Str(c.technology.name().to_string()),
-                ),
-                ("benchmark", JsonValue::Str(c.benchmark.name().to_string())),
-                ("epsilon_samples", JsonValue::Num(c.epsilon_samples as f64)),
-                ("bayes_samples", JsonValue::Num(c.bayes_samples as f64)),
-            ])
-        })
-        .collect();
-    let doc = obj(vec![
-        ("schema", JsonValue::Str("stco-sweep/v1".to_string())),
-        ("threads", JsonValue::Num(threads as f64)),
-        ("scenarios", JsonValue::Num(total as f64)),
-        ("scenarios_per_sec", JsonValue::Num(scenarios_per_sec)),
-        (
-            "resume",
-            obj(vec![
-                ("executed_before_kill", JsonValue::Num(before_kill as f64)),
-                ("resumed", JsonValue::Num(resumed_run.resumed as f64)),
-                (
-                    "executed_after",
-                    JsonValue::Num(resumed_run.executed as f64),
-                ),
-                ("recomputed", JsonValue::Num(recomputed as f64)),
-                ("front_bitwise_identical", JsonValue::Bool(resume_bitwise)),
-            ]),
-        ),
-        (
-            "remote",
-            obj(vec![
-                ("workers", JsonValue::Num(REMOTE_WORKERS as f64)),
-                ("completed", JsonValue::Num(completed as f64)),
-                ("front_bitwise_identical", JsonValue::Bool(remote_bitwise)),
-            ]),
-        ),
-        (
-            "ablation",
-            obj(vec![
-                ("levels", JsonValue::Num(ABLATION_LEVELS as f64)),
-                ("cells", JsonValue::Arr(cells)),
-                (
-                    "epsilon_greedy_samples",
-                    JsonValue::Num(ablation.epsilon_total as f64),
-                ),
-                (
-                    "bayesopt_samples",
-                    JsonValue::Num(ablation.bayes_total as f64),
-                ),
-            ]),
-        ),
-    ]);
-    stco_bench::validate_sweep_bench(&doc).expect("BENCH_sweep.json schema validation");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sweep.json");
-    std::fs::write(path, doc.render() + "\n").expect("write BENCH_sweep.json");
-    println!("wrote {path}");
 
     if std::env::var("STCO_STORE_DIR").is_err() {
         let _ = std::fs::remove_dir_all(&base);

@@ -31,20 +31,26 @@
 //!   `overloaded` / `queue-full` admission replies. Shedding is the
 //!   server protecting its latency, so sheds are tallied separately
 //!   from errors;
-//! * **server-side rolling p99** — the `serve.latency_seconds`
-//!   windowed histogram, fetched over the wire via the `metrics` op
-//!   right after the step. Client and server views are measured
+//! * **server-side p99** — the step's own requests as the service timed
+//!   them: the `serve.latency_seconds` bucket delta between a `metrics`
+//!   op snapshot read before the first measured request and one read
+//!   after the last. The histogram's rolling window would also hold
+//!   earlier steps and phases. Client and server views are measured
 //!   independently, so the harness can cross-check them.
 //!
 //! The client quantiles are exact; the server quantile interpolates
 //! inside histogram buckets and only covers the service's
 //! enqueue→reply span (no TCP framing), so the two agree only within
-//! a tolerance — see `DESIGN.md` §13 for the documented bound.
+//! a tolerance — see `DESIGN.md` §13 for the documented bound. The
+//! server records a latency just after it writes the reply, so the end
+//! snapshot can miss the step's last few requests;
+//! [`LoadStep::server_count`] shows how many the delta holds.
 
 use std::sync::Barrier;
 use std::time::Instant;
 
 use stco_obs::json::JsonValue;
+use stco_obs::metrics::HistogramReading;
 
 use stco_serve::{Client, PredictInput, Result, ServeError};
 
@@ -95,10 +101,12 @@ pub struct LoadStep {
     pub client_p99_seconds: f64,
     /// Client-side mean latency (seconds).
     pub client_mean_seconds: f64,
-    /// Server-side rolling-window p99 from `serve.latency_seconds`,
-    /// fetched via the `metrics` op after the step (None if the
-    /// window was empty or the metric absent).
-    pub server_window_p99_seconds: Option<f64>,
+    /// Server-side p99 of the step's own requests, from the
+    /// `serve.latency_seconds` bucket delta across the step (`None` if
+    /// the metric is absent or the delta empty).
+    pub server_p99_seconds: Option<f64>,
+    /// Server latency observations the step's bucket delta holds.
+    pub server_count: u64,
 }
 
 /// Exact linear-interpolated quantile of an ascending-sorted sample.
@@ -116,21 +124,68 @@ pub fn exact_quantile(sorted: &[f64], q: f64) -> Option<f64> {
     Some(sorted[lo] + (sorted[hi] - sorted[lo]) * frac)
 }
 
-/// Pulls the rolling-window p99 of `serve.latency_seconds` out of a
-/// `metrics`-op JSON snapshot. `None` when the metric is missing or
-/// its window is empty.
-#[must_use]
-pub fn window_p99_from_snapshot(snapshot: &JsonValue) -> Option<f64> {
+/// The `serve.latency_seconds` entry of a `metrics`-op snapshot: its
+/// bucket bounds and a reading whose per-bucket counts (overflow last)
+/// are recovered from the entry's cumulative `le` buckets and `count`.
+/// The snapshot carries no extrema for a delta to keep, so the bucket
+/// range stands in: `min` 0, `max` the last bound.
+fn latency_reading(snapshot: &JsonValue) -> Option<(Vec<f64>, HistogramReading)> {
     let JsonValue::Arr(entries) = snapshot.get("metrics")? else {
         return None;
     };
     let latency = entries
         .iter()
         .find(|e| e.get("name").and_then(JsonValue::as_str) == Some("serve.latency_seconds"))?;
-    latency
-        .get("window")?
-        .get("p99")
-        .and_then(JsonValue::as_f64)
+    let JsonValue::Arr(le) = latency.get("buckets")? else {
+        return None;
+    };
+    let mut bounds = Vec::with_capacity(le.len());
+    let mut counts = Vec::with_capacity(le.len() + 1);
+    let mut below = 0u64;
+    for pair in le {
+        let JsonValue::Arr(pair) = pair else {
+            return None;
+        };
+        let cumulative = pair.get(1)?.as_u64()?;
+        bounds.push(pair.first()?.as_f64()?);
+        counts.push(cumulative.saturating_sub(below));
+        below = below.max(cumulative);
+    }
+    let count = latency.get("count")?.as_u64()?;
+    counts.push(count.saturating_sub(below));
+    let reading = HistogramReading {
+        counts,
+        count,
+        sum: latency.get("sum")?.as_f64()?,
+        min: 0.0,
+        max: bounds.last().copied().unwrap_or(0.0),
+    };
+    Some((bounds, reading))
+}
+
+/// p99 of the server latencies recorded between two `metrics`-op
+/// snapshots, and how many there were: [`HistogramReading::quantile`]
+/// over the `serve.latency_seconds` bucket delta. The p99 is `None`
+/// when either snapshot lacks the metric or the delta is empty.
+fn server_p99_between(before: &JsonValue, after: &JsonValue) -> (Option<f64>, u64) {
+    let (Some((bounds, before)), Some((_, after))) =
+        (latency_reading(before), latency_reading(after))
+    else {
+        return (None, 0);
+    };
+    let counts: Vec<u64> = after
+        .counts
+        .iter()
+        .zip(&before.counts)
+        .map(|(a, b)| a.saturating_sub(*b))
+        .collect();
+    let step = HistogramReading {
+        count: counts.iter().sum(),
+        counts,
+        sum: after.sum - before.sum,
+        ..after
+    };
+    (step.quantile(&bounds, 0.99), step.count)
 }
 
 /// Whether a predict failure is the server *shedding* (typed admission
@@ -189,13 +244,14 @@ struct WorkerOutcome {
 }
 
 fn run_step(config: &LoadCurveConfig, concurrency: usize, admin: &mut Client) -> Result<LoadStep> {
-    // Two synchronization points, everyone (workers + coordinator)
-    // hits both: end of warmup (clock starts) and end of measured work
-    // (clock stops). Workers that fail to connect still hit the
-    // barriers so nobody deadlocks.
+    // Three synchronization points, everyone (workers + coordinator)
+    // hits all three: end of warmup (the coordinator reads the server's
+    // latency buckets), start of measured work (clock starts) and end
+    // of measured work (clock stops). Workers that fail to connect
+    // still hit the barriers so nobody deadlocks.
     let barrier = Barrier::new(concurrency + 1);
     // stco-check: allow(no-raw-thread, one blocking client connection per simulated user; load generation is I/O-bound, not pool work)
-    let (wall, outcomes): (f64, Vec<WorkerOutcome>) = std::thread::scope(|scope| {
+    let (before, wall, outcomes): (Result<_>, f64, Vec<_>) = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..concurrency)
             .map(|_| {
                 let barrier = &barrier;
@@ -222,6 +278,7 @@ fn run_step(config: &LoadCurveConfig, concurrency: usize, admin: &mut Client) ->
                         }
                     }
                     barrier.wait();
+                    barrier.wait();
                     if let Some(client) = client.as_mut() {
                         for i in 0..config.requests_per_conn {
                             let input = &config.inputs[i % config.inputs.len()];
@@ -239,6 +296,8 @@ fn run_step(config: &LoadCurveConfig, concurrency: usize, admin: &mut Client) ->
             })
             .collect();
         barrier.wait();
+        let before = admin.metrics();
+        barrier.wait();
         let t0 = Instant::now();
         barrier.wait();
         let wall = t0.elapsed().as_secs_f64().max(1e-9);
@@ -253,7 +312,7 @@ fn run_step(config: &LoadCurveConfig, concurrency: usize, admin: &mut Client) ->
                 })
             })
             .collect();
-        (wall, outcomes)
+        (before, wall, outcomes)
     });
 
     if outcomes.iter().any(|o| o.dead) {
@@ -277,7 +336,9 @@ fn run_step(config: &LoadCurveConfig, concurrency: usize, admin: &mut Client) ->
     } else {
         latencies.iter().sum::<f64>() / ok as f64
     };
-    let (snapshot, _text) = admin.metrics()?;
+    let (before, _text) = before?;
+    let (after, _text) = admin.metrics()?;
+    let (server_p99_seconds, server_count) = server_p99_between(&before, &after);
     Ok(LoadStep {
         concurrency,
         ok,
@@ -293,69 +354,9 @@ fn run_step(config: &LoadCurveConfig, concurrency: usize, admin: &mut Client) ->
         client_p50_seconds: exact_quantile(&latencies, 0.50).unwrap_or(0.0),
         client_p99_seconds: exact_quantile(&latencies, 0.99).unwrap_or(0.0),
         client_mean_seconds: mean,
-        server_window_p99_seconds: window_p99_from_snapshot(&snapshot),
+        server_p99_seconds,
+        server_count,
     })
-}
-
-/// Renders a sweep as the `BENCH_serving.json` document
-/// (`stco-serving-curve/v2` schema): top-level run facts — thread
-/// count, worker shard count, whether the f64 bitwise gate applies —
-/// plus one object per step, including its shed count.
-#[must_use]
-pub fn load_curve_to_json(
-    threads: usize,
-    shards: usize,
-    bitwise_identical: bool,
-    steps: &[LoadStep],
-) -> JsonValue {
-    let steps_json: Vec<JsonValue> = steps
-        .iter()
-        .map(|s| {
-            let mut fields = vec![
-                (
-                    "concurrency".to_string(),
-                    JsonValue::Num(s.concurrency as f64),
-                ),
-                ("ok".to_string(), JsonValue::Num(s.ok as f64)),
-                ("errors".to_string(), JsonValue::Num(s.errors as f64)),
-                ("shed".to_string(), JsonValue::Num(s.shed as f64)),
-                ("wall_seconds".to_string(), JsonValue::Num(s.wall_seconds)),
-                ("offered_rps".to_string(), JsonValue::Num(s.offered_rps)),
-                ("achieved_rps".to_string(), JsonValue::Num(s.achieved_rps)),
-                (
-                    "client_p50_seconds".to_string(),
-                    JsonValue::Num(s.client_p50_seconds),
-                ),
-                (
-                    "client_p99_seconds".to_string(),
-                    JsonValue::Num(s.client_p99_seconds),
-                ),
-                (
-                    "client_mean_seconds".to_string(),
-                    JsonValue::Num(s.client_mean_seconds),
-                ),
-            ];
-            fields.push((
-                "server_window_p99_seconds".to_string(),
-                s.server_window_p99_seconds
-                    .map_or(JsonValue::Null, JsonValue::Num),
-            ));
-            JsonValue::Obj(fields)
-        })
-        .collect();
-    JsonValue::Obj(vec![
-        (
-            "schema".to_string(),
-            JsonValue::Str("stco-serving-curve/v2".to_string()),
-        ),
-        ("threads".to_string(), JsonValue::Num(threads as f64)),
-        ("shards".to_string(), JsonValue::Num(shards as f64)),
-        (
-            "bitwise_identical".to_string(),
-            JsonValue::Bool(bitwise_identical),
-        ),
-        ("steps".to_string(), JsonValue::Arr(steps_json)),
-    ])
 }
 
 #[cfg(test)]
@@ -391,22 +392,36 @@ mod tests {
     }
 
     #[test]
-    fn window_p99_extraction() {
-        let snapshot = JsonValue::Obj(vec![(
-            "metrics".to_string(),
-            JsonValue::Arr(vec![JsonValue::Obj(vec![
-                (
-                    "name".to_string(),
-                    JsonValue::Str("serve.latency_seconds".to_string()),
-                ),
-                (
-                    "window".to_string(),
-                    JsonValue::Obj(vec![("p99".to_string(), JsonValue::Num(0.042))]),
-                ),
-            ])]),
-        )]);
-        assert_eq!(window_p99_from_snapshot(&snapshot), Some(0.042));
-        assert_eq!(window_p99_from_snapshot(&JsonValue::Obj(vec![])), None);
+    fn step_p99_excludes_requests_before_the_step() {
+        use stco_obs::metrics::{seconds_buckets, MetricsRegistry, WindowConfig};
+
+        let reg = MetricsRegistry::new();
+        let latency = reg.windowed_histogram(
+            "serve.latency_seconds",
+            &seconds_buckets(),
+            WindowConfig::default(),
+        );
+        let snapshot = || stco_obs::snapshot_json(&reg.snapshot());
+        // Slow requests from an earlier phase, then the step's fast ones.
+        for _ in 0..64 {
+            latency.observe(0.020);
+        }
+        let before = snapshot();
+        for _ in 0..128 {
+            latency.observe(0.002);
+        }
+        let after = snapshot();
+
+        let window_p99 = latency.quantile(0.99).unwrap_or(f64::NAN);
+        assert!(window_p99 > 0.010, "window p99 {window_p99}");
+        let (step_p99, count) = server_p99_between(&before, &after);
+        assert_eq!(count, 128);
+        let step_p99 = step_p99.unwrap_or(f64::NAN);
+        assert!(step_p99 <= 0.0025, "step p99 {step_p99}");
+        assert_eq!(
+            server_p99_between(&JsonValue::Obj(vec![]), &after),
+            (None, 0)
+        );
     }
 
     #[test]
@@ -427,64 +442,5 @@ mod tests {
         assert!(is_shed(&queue_full));
         assert!(!is_shed(&other));
         assert!(!is_shed(&ServeError::DeadlineExceeded));
-    }
-
-    #[test]
-    fn load_curve_json_has_schema_and_steps() {
-        let steps = vec![LoadStep {
-            concurrency: 8,
-            ok: 64,
-            errors: 0,
-            shed: 3,
-            wall_seconds: 0.5,
-            offered_rps: 130.0,
-            achieved_rps: 128.0,
-            client_p50_seconds: 0.01,
-            client_p99_seconds: 0.05,
-            client_mean_seconds: 0.015,
-            server_window_p99_seconds: Some(0.048),
-        }];
-        let doc = load_curve_to_json(4, 2, true, &steps);
-        assert_eq!(
-            doc.get("schema").and_then(JsonValue::as_str),
-            Some("stco-serving-curve/v2")
-        );
-        assert_eq!(doc.get("threads").and_then(JsonValue::as_u64), Some(4));
-        assert_eq!(doc.get("shards").and_then(JsonValue::as_u64), Some(2));
-        let rendered_len = match doc.get("steps") {
-            Some(JsonValue::Arr(rendered)) => {
-                assert_eq!(
-                    rendered
-                        .first()
-                        .and_then(|s| s.get("concurrency"))
-                        .and_then(JsonValue::as_u64),
-                    Some(8)
-                );
-                assert_eq!(
-                    rendered
-                        .first()
-                        .and_then(|s| s.get("shed"))
-                        .and_then(JsonValue::as_u64),
-                    Some(3)
-                );
-                rendered.len()
-            }
-            _ => 0,
-        };
-        assert_eq!(rendered_len, 1);
-        // The document must survive a render/parse cycle.
-        let reparsed = JsonValue::parse(&doc.render()).ok();
-        assert_eq!(
-            reparsed
-                .as_ref()
-                .and_then(|d| d.get("steps"))
-                .and_then(|s| match s {
-                    JsonValue::Arr(a) => a.first(),
-                    _ => None,
-                })
-                .and_then(|s| s.get("client_p99_seconds"))
-                .and_then(JsonValue::as_f64),
-            Some(0.05)
-        );
     }
 }

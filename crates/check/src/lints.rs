@@ -106,23 +106,6 @@ impl Lint {
     pub fn from_id(id: &str) -> Option<Lint> {
         ALL_LINTS.iter().copied().find(|l| l.id() == id)
     }
-
-    /// One-line description for reports.
-    pub fn describe(self) -> &'static str {
-        match self {
-            Lint::NoUnwrap => "unwrap()/expect()/panic! in library code",
-            Lint::ObsSpan => "public entrypoint without an stco-obs span",
-            Lint::NoLossyCast => "lossy numeric `as` cast in numeric crate",
-            Lint::NoPrint => "println!/eprintln!/dbg! in library code",
-            Lint::NoAllocInHotLoop => "per-call allocation in a `// stco-hot` function",
-            Lint::MetricName => "metric name violates the `area.noun_unit` convention",
-            Lint::NoHashMapIterOrder => "HashMap/HashSet iteration order reaches an ordered sink",
-            Lint::AtomicOrdering => "atomic op without an explicit ordering (or SeqCst in hot fn)",
-            Lint::NoRawThread => "raw std::thread use outside the contracted pool crates",
-            Lint::FloatReduceOrder => "order-sensitive float reduction in par-adjacent code",
-            Lint::LockAcrossBlocking => "lock guard held across channel/blocking I/O call",
-        }
-    }
 }
 
 impl fmt::Display for Lint {

@@ -306,6 +306,22 @@ mod tests {
         let window = windowed.get("window").expect("window block");
         assert_eq!(window.get("count").and_then(JsonValue::as_u64), Some(2));
         assert!(window.get("p99").and_then(JsonValue::as_f64).is_some());
+
+        // An observation the window has aged out of still counts in the
+        // entry's `le` buckets, which are cumulative like its `count`.
+        let reg = MetricsRegistry::new();
+        let short = WindowConfig {
+            epoch_len: std::time::Duration::from_millis(1),
+            epochs: 2,
+        };
+        reg.windowed_histogram("a.latency_seconds", &[1.0], short)
+            .observe(0.5);
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        let aged = snapshot_json(&reg.snapshot()).render();
+        assert!(
+            aged.contains(r#""window":{"count":0,"#) && aged.contains(r#""buckets":[[1,1]]"#),
+            "{aged}"
+        );
     }
 
     #[test]

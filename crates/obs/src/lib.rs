@@ -6,9 +6,9 @@
 //!
 //! * **Spans** ([`recorder`]) — hierarchical wall-clock regions with
 //!   key/value fields, emitted through a process-global [`Recorder`] to
-//!   pluggable [`sink::Sink`]s (in-memory ring buffer, JSONL file,
-//!   stderr pretty-printer). The [`span!`]/[`event!`] macros compile to
-//!   a single atomic load when no sink is installed.
+//!   pluggable [`sink::Sink`]s (in-memory ring buffer, JSONL file).
+//!   The [`span!`]/[`event!`] macros compile to a single atomic load
+//!   when no sink is installed.
 //! * **Metrics** ([`metrics`]) — named counters, gauges and lock-free
 //!   fixed-bucket histograms with percentile summaries
 //!   (`tcad.newton_iters`, `nn.epoch_loss`, `spice.timestep_rejects`,
@@ -43,7 +43,7 @@ pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, WindowConfig, Wind
 pub use profile::{Profile, ProfileNode};
 pub use record::{FieldValue, Record};
 pub use recorder::{Recorder, SpanGuard};
-pub use sink::{JsonlSink, RingBufferHandle, RingBufferSink, Sink, StderrSink};
+pub use sink::{JsonlSink, RingBufferHandle, RingBufferSink, Sink};
 
 /// Errors from observability plumbing (sink I/O, JSON parsing).
 #[derive(Debug)]

@@ -692,8 +692,8 @@ pub enum MetricSnapshot {
         /// finite bound (the implicit `+Inf` bucket equals `count`).
         buckets: Vec<(f64, u64)>,
     },
-    /// Sliding-window histogram summary: cumulative count/sum/mean plus
-    /// rolling quantiles over the current window.
+    /// Sliding-window histogram summary: cumulative count/sum/mean and
+    /// buckets plus rolling quantiles over the current window.
     Windowed {
         /// Metric name.
         name: String,
@@ -713,8 +713,10 @@ pub enum MetricSnapshot {
         p95: Option<f64>,
         /// Rolling p99 estimate.
         p99: Option<f64>,
-        /// Window `le` buckets: `(upper_bound, count ≤ bound)` over the
-        /// current window only.
+        /// Cumulative `le` buckets: `(upper_bound, count ≤ bound)` per
+        /// finite bound over every observation, like `count` (the
+        /// implicit `+Inf` bucket equals `count`), so two snapshots'
+        /// buckets difference to what was observed between them.
         buckets: Vec<(f64, u64)>,
     },
 }
@@ -858,7 +860,7 @@ impl MetricsRegistry {
                         p90: win.quantile(w.bounds(), 0.9),
                         p95: win.quantile(w.bounds(), 0.95),
                         p99: win.quantile(w.bounds(), 0.99),
-                        buckets: win.le_buckets(w.bounds()),
+                        buckets: cum.le_buckets(w.bounds()),
                     }
                 }
             })

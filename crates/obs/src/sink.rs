@@ -4,9 +4,7 @@
 //!   read handle; what profiles are usually folded from.
 //! * [`JsonlSink`] — streams every record as one JSON object per line;
 //!   the `--trace` artifact under `results/`.
-//! * [`StderrSink`] — human-readable live view, indented by span depth.
 
-use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -152,66 +150,6 @@ impl Sink for JsonlSink {
     }
 }
 
-/// Pretty-prints records to stderr, indented by span depth per thread.
-#[derive(Debug, Default)]
-pub struct StderrSink {
-    depth: HashMap<u64, usize>,
-    span_thread: HashMap<u64, u64>,
-}
-
-impl StderrSink {
-    /// Creates the sink.
-    pub fn new() -> StderrSink {
-        StderrSink::default()
-    }
-
-    fn indent(depth: usize) -> String {
-        "  ".repeat(depth)
-    }
-}
-
-impl Sink for StderrSink {
-    fn record(&mut self, record: &Record) {
-        match record {
-            Record::SpanStart {
-                id,
-                name,
-                fields,
-                thread,
-                ..
-            } => {
-                let depth = self.depth.entry(*thread).or_insert(0);
-                let pad = Self::indent(*depth);
-                *depth += 1;
-                self.span_thread.insert(*id, *thread);
-                let fields: Vec<String> = fields.iter().map(|(k, v)| format!("{k}={v}")).collect();
-                // stco-check: allow(no-print, StderrSink is the terminal print destination)
-                eprintln!("{pad}▶ {name} {}", fields.join(" "));
-            }
-            Record::SpanEnd { id, elapsed_ns, .. } => {
-                let thread = self.span_thread.remove(id).unwrap_or(0);
-                let depth = self.depth.entry(thread).or_insert(1);
-                *depth = depth.saturating_sub(1);
-                let pad = Self::indent(*depth);
-                // stco-check: allow(no-print, StderrSink is the terminal print destination)
-                eprintln!("{pad}◀ {:.6} s", *elapsed_ns as f64 / 1e9);
-            }
-            Record::Event {
-                name,
-                fields,
-                thread,
-                ..
-            } => {
-                let depth = self.depth.get(thread).copied().unwrap_or(0);
-                let pad = Self::indent(depth);
-                let fields: Vec<String> = fields.iter().map(|(k, v)| format!("{k}={v}")).collect();
-                // stco-check: allow(no-print, StderrSink is the terminal print destination)
-                eprintln!("{pad}· {name} {}", fields.join(" "));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,16 +210,5 @@ mod tests {
         let back = JsonlSink::read_records(&path).expect("reads");
         assert_eq!(back, records);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stderr_sink_tracks_depth() {
-        let mut sink = StderrSink::new();
-        for r in sample_records() {
-            sink.record(&r);
-        }
-        // Depth returns to zero after the span closes.
-        assert_eq!(sink.depth.get(&1).copied(), Some(0));
-        assert!(sink.span_thread.is_empty());
     }
 }

@@ -12,6 +12,9 @@
 //! 3. **calibrated/measured** — paper constants composed with *our*
 //!    measured system-evaluation seconds (scaled so the largest matches),
 //!    showing the crossover emerges from design size alone.
+//!
+//! Then writes `BENCH_table1.json` and fails unless each [`GATED`]
+//! benchmark's fast loop is at least [`MIN_SPEEDUP`] times faster.
 
 use std::time::Instant;
 
@@ -33,6 +36,18 @@ use stco_system::bench_gen::Benchmark;
 use stco_system::ppa::{evaluate_system, EvalConfig};
 use stco_tcad::dataset::generate_dataset;
 use stco_tcad::materials::Technology;
+
+/// The benchmarks measured at default scale, and the rows the
+/// fast-loop floor gates at any scale.
+const GATED: [Benchmark; 2] = [Benchmark::S298, Benchmark::S1488];
+
+/// Minimum fast-loop speedup of each [`GATED`] benchmark: below the
+/// measured 30–58×, while a real fast-loop regression lands near 10×.
+const MIN_SPEEDUP: f64 = 20.0;
+
+/// Thread-scaling and kernel-speedup timings are recorded and asserted
+/// only on hosts with at least this many cores; below it they are noise.
+const SCALING_CORE_GATE: usize = 4;
 
 /// Measured thread-scaling of one parallel hot path.
 struct ScalingRow {
@@ -210,9 +225,9 @@ fn json_stage(s: &StageSeconds) -> String {
 /// `BENCH_table1.json` at the repository root.
 ///
 /// Scaling rows carry a `"status"` field: `"measured"` when the host
-/// has at least 4 cores (so the timings are meaningful), `"skipped"`
-/// otherwise — the outputs are still verified identical, but no timing
-/// claim is recorded for a core-starved host.
+/// has at least [`SCALING_CORE_GATE`] cores, `"skipped"` otherwise —
+/// the outputs are still verified identical, but no timing claim is
+/// recorded for a core-starved host.
 fn write_bench_json(
     rows: &[(String, StageSeconds, StageSeconds, f64)],
     scaling: &[ScalingRow],
@@ -242,7 +257,7 @@ fn write_bench_json(
     let scaling_rows: Vec<String> = scaling
         .iter()
         .map(|r| {
-            if cores >= 4 {
+            if cores >= SCALING_CORE_GATE {
                 format!(
                     "    {{\"stage\": \"{}\", \"status\": \"measured\", \"serial_seconds\": {:.6}, \"parallel_seconds\": {:.6}, \"speedup\": {:.3}, \"identical_outputs\": true}}",
                     r.stage,
@@ -252,7 +267,7 @@ fn write_bench_json(
                 )
             } else {
                 format!(
-                    "    {{\"stage\": \"{}\", \"status\": \"skipped\", \"reason\": \"thread-scaling timings need >= 4 cores, host has {cores}\", \"identical_outputs\": true}}",
+                    "    {{\"stage\": \"{}\", \"status\": \"skipped\", \"reason\": \"thread-scaling timings need >= {SCALING_CORE_GATE} cores, host has {cores}\", \"identical_outputs\": true}}",
                     r.stage
                 )
             }
@@ -399,6 +414,20 @@ fn train_bundle(
     }
 }
 
+/// Fails naming the first [`GATED`] benchmark whose measured fast-loop
+/// speedup is below [`MIN_SPEEDUP`]; other benchmarks are not gated.
+fn check_speedup_floor(speedups: &[(Benchmark, f64)]) -> Result<(), String> {
+    for &(bench, speedup) in speedups {
+        if GATED.contains(&bench) && speedup < MIN_SPEEDUP {
+            let name = bench.name();
+            return Err(format!(
+                "{name}: fast-loop speedup {speedup:.1}x below the {MIN_SPEEDUP:.0}x floor"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Checks that the per-stage seconds folded from the recorded trace
 /// agree with the seconds printed in the table (same clock reading, so
 /// the tolerance is far looser than the actual agreement).
@@ -454,7 +483,7 @@ fn main() {
     let measured_set: Vec<Benchmark> = if paper_scale() {
         Benchmark::ALL.to_vec()
     } else {
-        vec![Benchmark::S298, Benchmark::S1488]
+        GATED.to_vec()
     };
 
     banner("Table I view 1: measured on our substrates");
@@ -463,6 +492,7 @@ fn main() {
         "benchmark", "sys-eval", "trad tech", "fast tech", "trad tot", "speedup", "tech x"
     );
     let mut measured_sys: Vec<(Benchmark, f64)> = Vec::new();
+    let mut speedups: Vec<(Benchmark, f64)> = Vec::new();
     let mut json_rows: Vec<(String, StageSeconds, StageSeconds, f64)> = Vec::new();
     for &bench in &measured_set {
         let config = FlowConfig::fast(Technology::Ltps, bench);
@@ -504,6 +534,7 @@ fn main() {
             row.technology_speedup(),
         );
         measured_sys.push((bench, row.traditional.system));
+        speedups.push((bench, row.speedup()));
         json_rows.push((
             bench.name().to_string(),
             trad.seconds,
@@ -622,7 +653,7 @@ fn main() {
             row.speedup()
         );
     }
-    if cores >= 4 {
+    if cores >= SCALING_CORE_GATE {
         for row in &scaling {
             assert!(
                 row.speedup() >= 2.0,
@@ -660,7 +691,7 @@ fn main() {
             row.name
         );
     }
-    if cores >= 4 {
+    if cores >= SCALING_CORE_GATE {
         for row in &kernels {
             assert!(
                 row.speedup() >= 2.0,
@@ -693,5 +724,27 @@ fn main() {
         println!("trace: {}", path.display());
         banner("Metrics");
         print!("{}", stco_obs::Recorder::global().metrics().markdown());
+    }
+
+    // Last, so a failing run still prints every view and leaves the file.
+    check_speedup_floor(&speedups).unwrap_or_else(|reason| panic!("{reason}"));
+    println!("\nfast-loop speedup >= {MIN_SPEEDUP:.0}x verified on every gated benchmark.");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn floor_gates_only_the_gated_benchmarks() {
+        let failing = [(Benchmark::S298, 41.8), (Benchmark::S1488, 19.9)];
+        let err = "s1488: fast-loop speedup 19.9x below the 20x floor";
+        assert_eq!(check_speedup_floor(&failing), Err(err.to_string()));
+        let passing = [
+            (Benchmark::S298, 20.0),
+            (Benchmark::S1488, 20.0),
+            (Benchmark::Darkriscv, 10.5),
+        ];
+        assert_eq!(check_speedup_floor(&passing), Ok(()));
     }
 }

@@ -30,7 +30,6 @@
 //! assert_eq!(m.device_type(), DeviceType::NType);
 //! ```
 
-pub mod artifact;
 pub mod extract;
 pub mod measure;
 pub mod model;

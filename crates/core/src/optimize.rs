@@ -332,6 +332,8 @@ mod tests {
         assert_eq!(warm.cache_hits, 1);
         assert_eq!(warm.cache_misses, 0);
         assert_eq!(warm.real_evaluations, config.shortlist);
+        drop(registry);
+        let _ = std::fs::remove_dir_all(&dir);
 
         // The flow driver never probes a cache.
         let flow_outcome = explore_with_flow(&flow, &space, &agent, stage, None)?;

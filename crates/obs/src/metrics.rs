@@ -373,12 +373,6 @@ impl Histogram {
         self.state.read()
     }
 
-    /// Per-bucket observation counts (overflow bucket last).
-    #[must_use]
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        self.read().counts
-    }
-
     /// Resets all state (bounds kept).
     pub fn reset(&self) {
         self.state.clear();
@@ -481,12 +475,6 @@ impl WindowedHistogram {
         &self.bounds
     }
 
-    /// Wall-clock length of one epoch.
-    #[must_use]
-    pub fn epoch_len(&self) -> Duration {
-        Duration::from_nanos(self.inner.epoch_ns)
-    }
-
     /// The current wall-clock tick (`elapsed / epoch_len`).
     #[must_use]
     pub fn current_tick(&self) -> u64 {
@@ -560,12 +548,6 @@ impl WindowedHistogram {
     #[must_use]
     pub fn window_reading(&self) -> HistogramReading {
         self.window_reading_at(self.current_tick())
-    }
-
-    /// Observations inside the current window.
-    #[must_use]
-    pub fn window_count(&self) -> u64 {
-        self.window_reading().count
     }
 
     /// Estimated `q`-quantile over the window ending at `tick`, or
@@ -1042,8 +1024,8 @@ mod tests {
             }
         });
         assert_eq!(h.count(), 8000);
-        assert_eq!(h.bucket_counts().iter().sum::<u64>(), 8000);
         let r = h.read();
+        assert_eq!(r.counts.iter().sum::<u64>(), 8000);
         assert_eq!(r.min, 0.0);
         assert!((r.max - 0.7999).abs() < 1e-12);
         assert!((r.sum - (0..8000).map(|i| i as f64 * 1e-4).sum::<f64>()).abs() < 1e-6);

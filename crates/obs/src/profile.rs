@@ -43,11 +43,6 @@ impl ProfileNode {
         }
     }
 
-    /// Total event occurrences attached directly to this node.
-    pub fn event_count(&self) -> u64 {
-        self.events.iter().map(|(_, n)| n).sum()
-    }
-
     /// Finds the first direct child with this fold label.
     pub fn child(&self, name: &str) -> Option<&ProfileNode> {
         self.children.iter().find(|c| c.name == name)
@@ -329,7 +324,7 @@ mod tests {
         // Solver nested inside device, events attached to it.
         let solver = device.child("tcad.solve_poisson").expect("solver");
         assert_eq!(solver.events, vec![("tcad.newton_iter".to_string(), 2)]);
-        assert_eq!(solver.event_count(), 2);
+        assert_eq!(solver.events.iter().map(|(_, n)| n).sum::<u64>(), 2);
     }
 
     #[test]

@@ -65,8 +65,7 @@
 //!   `serve.shard_queue_depth` (hottest shard) gauges current, plus the
 //!   `serve.shed_total` shed counter;
 //! * emits a `serve.request` event with the full phase breakdown for a
-//!   deterministic 1-in-[`BatchConfig::trace_sample_n`] sample of trace
-//!   ids;
+//!   deterministic 1-in-64 sample of trace ids;
 //! * keeps the worst [`BatchConfig::slow_log_k`] requests by total
 //!   latency as [`SlowRequest`] exemplars, readable via
 //!   [`ModelService::slow_requests`] and the TCP `stats` op.
@@ -83,6 +82,13 @@ use stco_surrogate::cell_model::{BatchedCellGraph, CellModel, METRICS};
 
 use crate::{Result, ServeError};
 
+/// Deadline applied to requests that do not carry their own.
+const DEFAULT_DEADLINE: Duration = Duration::from_secs(5);
+
+/// Deterministic trace sampling: requests whose trace id is a multiple
+/// of this emit a `serve.request` event with the full phase breakdown.
+const TRACE_SAMPLE_N: u64 = 64;
+
 /// Micro-batching queue parameters (per shard).
 #[derive(Debug, Clone, Copy)]
 pub struct BatchConfig {
@@ -92,12 +98,6 @@ pub struct BatchConfig {
     pub max_linger: Duration,
     /// Per-shard queue bound; submits beyond it fail with `QueueFull`.
     pub max_pending: usize,
-    /// Deadline applied to requests that do not carry their own.
-    pub default_deadline: Duration,
-    /// Deterministic trace sampling: requests whose trace id is a
-    /// multiple of this emit a `serve.request` event with the full
-    /// phase breakdown (`0` disables sampling entirely).
-    pub trace_sample_n: u64,
     /// How many worst-latency exemplars the slow-request log keeps.
     pub slow_log_k: usize,
     /// Worker shards. `0` reads `STCO_SHARDS` (default 1).
@@ -117,8 +117,6 @@ impl Default for BatchConfig {
             max_batch: 32,
             max_linger: Duration::from_millis(1),
             max_pending: 1024,
-            default_deadline: Duration::from_secs(5),
-            trace_sample_n: 64,
             slow_log_k: 8,
             shards: 0,
             shed_high: 768,
@@ -550,8 +548,7 @@ impl ModelService {
     /// Submits one predict request and blocks until its reply.
     ///
     /// The request joins its shard's micro-batching queue; `deadline`
-    /// bounds its total queue time (defaulting to
-    /// [`BatchConfig::default_deadline`]).
+    /// bounds its total queue time (defaulting to 5 s).
     ///
     /// # Errors
     ///
@@ -616,7 +613,7 @@ impl ModelService {
             return;
         };
         let now = Instant::now();
-        let deadline = now + deadline.unwrap_or(self.shared.batch.default_deadline);
+        let deadline = now + deadline.unwrap_or(DEFAULT_DEADLINE);
         let shard = &self.shared.shards[shard_idx];
         let rejection = {
             let mut state = lock_state(shard);
@@ -865,7 +862,7 @@ fn worker_loop(shared: &Shared, shard_idx: usize) {
                 total_seconds: replied.duration_since(enqueued).as_secs_f64(),
             };
             latency.observe(breakdown.total_seconds);
-            if shared.batch.trace_sample_n > 0 && trace_id % shared.batch.trace_sample_n == 0 {
+            if trace_id % TRACE_SAMPLE_N == 0 {
                 stco_obs::event!(
                     "serve.request",
                     trace = trace_id,

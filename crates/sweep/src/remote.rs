@@ -478,11 +478,13 @@ mod tests {
     use super::*;
     use crate::engine::SyntheticEval;
 
-    fn temp_registry(tag: &str) -> Result<Registry> {
+    /// A fresh registry and its directory, for the test to remove.
+    fn temp_registry(tag: &str) -> Result<(Registry, std::path::PathBuf)> {
         let dir =
             std::env::temp_dir().join(format!("stco-sweep-remote-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        Registry::open(&dir).map_err(crate::SweepError::Store)
+        let registry = Registry::open(&dir).map_err(crate::SweepError::Store)?;
+        Ok((registry, dir))
     }
 
     fn small_spec() -> SweepSpec {
@@ -496,7 +498,7 @@ mod tests {
     #[test]
     fn lease_complete_status_lifecycle() -> Result<()> {
         let spec = small_spec();
-        let registry = temp_registry("lifecycle")?;
+        let (registry, dir) = temp_registry("lifecycle")?;
         let (queue, resumed) = SweepQueue::open(&spec, registry)?;
         assert_eq!(resumed, 0);
         let total = queue.scenarios().len();
@@ -519,13 +521,15 @@ mod tests {
         assert_eq!(status.pending, total - 3);
         assert!(!queue.is_complete());
         assert_eq!(queue.records()?.len(), 3);
+        drop(queue);
+        let _ = std::fs::remove_dir_all(&dir);
         Ok(())
     }
 
     #[test]
     fn unknown_and_malformed_completions_are_typed_rejects() -> Result<()> {
         let spec = small_spec();
-        let registry = temp_registry("rejects")?;
+        let (registry, dir) = temp_registry("rejects")?;
         let (queue, _) = SweepQueue::open(&spec, registry)?;
         assert!(queue.complete("not-hex", &[1.0, 2.0, 3.0, 4.0]).is_err());
         assert!(queue
@@ -534,12 +538,15 @@ mod tests {
         let lease = queue.lease("w0", 1);
         assert_eq!(lease.len(), 1);
         assert!(queue.complete(&lease[0].id, &[1.0, 2.0]).is_err());
+        drop(queue);
+        let _ = std::fs::remove_dir_all(&dir);
         Ok(())
     }
 
     #[test]
     fn malformed_extension_bodies_are_malformed_frames() -> Result<()> {
-        let (queue, _) = SweepQueue::open(&small_spec(), temp_registry("malformed")?)?;
+        let (registry, dir) = temp_registry("malformed")?;
+        let (queue, _) = SweepQueue::open(&small_spec(), registry)?;
         for body in [
             r#"{"worker":"w0","max":1}"#,
             r#"{"action":"warp"}"#,
@@ -551,13 +558,15 @@ mod tests {
             assert_eq!(code, Some("malformed-frame"), "{body}");
         }
         assert_eq!(queue.status().leased, 0, "a rejected body must not lease");
+        drop(queue);
+        let _ = std::fs::remove_dir_all(&dir);
         Ok(())
     }
 
     #[test]
     fn reclaimed_leases_return_to_pending() -> Result<()> {
         let spec = small_spec();
-        let registry = temp_registry("reclaim")?;
+        let (registry, dir) = temp_registry("reclaim")?;
         let (queue, _) = SweepQueue::open(&spec, registry)?;
         let total = queue.scenarios().len();
         let leased = queue.lease("w0", 2);
@@ -566,6 +575,8 @@ mod tests {
         let status = queue.status();
         assert_eq!(status.pending, total);
         assert_eq!(status.leased, 0);
+        drop(queue);
+        let _ = std::fs::remove_dir_all(&dir);
         Ok(())
     }
 
@@ -588,6 +599,8 @@ mod tests {
         let (reopened, resumed) = SweepQueue::open(&spec, open()?)?;
         assert_eq!(resumed, 2);
         assert_eq!(reopened.status().completed, 2);
+        drop(reopened);
+        let _ = std::fs::remove_dir_all(&dir);
         Ok(())
     }
 }

@@ -12,11 +12,12 @@ use stco_sweep::{
     Result, SweepEngine, SweepQueue, SweepSpec, SyntheticEval,
 };
 
-fn temp_registry(tag: &str) -> Registry {
+/// A fresh registry and its directory, for the test to remove.
+fn temp_registry(tag: &str) -> (Registry, std::path::PathBuf) {
     let dir =
         std::env::temp_dir().join(format!("stco-sweep-remote-it-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    Registry::open(&dir).expect("temp registry")
+    (Registry::open(&dir).expect("temp registry"), dir)
 }
 
 fn spec() -> SweepSpec {
@@ -32,12 +33,15 @@ fn remote_workers_reproduce_the_local_front_bitwise() -> Result<()> {
     let spec = spec();
 
     // Local reference run.
-    let local = SweepEngine::new(&spec, temp_registry("local"))?.run_sweep(&SyntheticEval, None)?;
+    let (local_registry, local_dir) = temp_registry("local");
+    let local = SweepEngine::new(&spec, local_registry)?.run_sweep(&SyntheticEval, None)?;
+    let _ = std::fs::remove_dir_all(&local_dir);
     let local_front = front_fingerprint(&pareto_front(&local.records));
 
     // Server side: a sweep queue attached to a live TCP server.
     let service = ModelService::start(None, BatchConfig::default());
-    let (queue, resumed) = SweepQueue::open(&spec, temp_registry("server"))?;
+    let (server_registry, server_dir) = temp_registry("server");
+    let (queue, resumed) = SweepQueue::open(&spec, server_registry)?;
     assert_eq!(resumed, 0);
     let server = TcpServer::start("127.0.0.1:0", Arc::clone(&service)).expect("server");
     server.attach("sweep", queue.clone());
@@ -79,6 +83,8 @@ fn remote_workers_reproduce_the_local_front_bitwise() -> Result<()> {
 
     server.stop();
     service.shutdown();
+    drop((server, queue));
+    let _ = std::fs::remove_dir_all(&server_dir);
     Ok(())
 }
 
@@ -138,5 +144,7 @@ fn completion_survives_a_server_side_restart() -> Result<()> {
     assert_eq!(status.completed, 6);
     assert_eq!(status.pending, spec.scenario_count() - 6);
     assert_eq!(status.leased, 0);
+    drop((server, queue, reopened));
+    let _ = std::fs::remove_dir_all(&dir);
     Ok(())
 }

@@ -9,10 +9,11 @@
 use stco_store::Registry;
 use stco_sweep::{front_fingerprint, pareto_front, Result, SweepEngine, SweepSpec, SyntheticEval};
 
-fn temp_registry(tag: &str) -> Registry {
+/// A fresh registry and its directory, for the test to remove.
+fn temp_registry(tag: &str) -> (Registry, std::path::PathBuf) {
     let dir = std::env::temp_dir().join(format!("stco-sweep-resume-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    Registry::open(&dir).expect("temp registry")
+    (Registry::open(&dir).expect("temp registry"), dir)
 }
 
 fn spec() -> SweepSpec {
@@ -34,8 +35,9 @@ fn killed_sweep_resumes_bitwise_identical_at_one_and_four_threads() -> Result<()
         stco_par::set_global_threads(threads);
 
         // Reference: one uninterrupted run.
-        let reference = SweepEngine::new(&spec, temp_registry(&format!("ref{threads}")))?
-            .run_sweep(&eval, None)?;
+        let (registry, reference_dir) = temp_registry(&format!("ref{threads}"));
+        let reference = SweepEngine::new(&spec, registry)?.run_sweep(&eval, None)?;
+        let _ = std::fs::remove_dir_all(&reference_dir);
         assert!(reference.is_complete());
         assert_eq!(reference.executed, total);
         assert_eq!(reference.resumed, 0);
@@ -64,6 +66,9 @@ fn killed_sweep_resumes_bitwise_identical_at_one_and_four_threads() -> Result<()
         assert_eq!(resumed.executed, total - kill_after);
         assert!(resumed.is_complete());
 
+        drop(engine);
+        let _ = std::fs::remove_dir_all(&dir);
+
         let resumed_front = front_fingerprint(&pareto_front(&resumed.records));
         assert_eq!(
             resumed_front, reference_front,
@@ -82,10 +87,13 @@ fn killed_sweep_resumes_bitwise_identical_at_one_and_four_threads() -> Result<()
 #[test]
 fn limit_zero_executes_nothing_and_loses_nothing() -> Result<()> {
     let spec = spec();
-    let engine = SweepEngine::new(&spec, temp_registry("limit0"))?;
+    let (registry, dir) = temp_registry("limit0");
+    let engine = SweepEngine::new(&spec, registry)?;
     let outcome = engine.run_sweep(&SyntheticEval, Some(0))?;
     assert_eq!(outcome.executed, 0);
     assert_eq!(outcome.remaining, spec.scenario_count());
     assert!(outcome.records.is_empty());
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&dir);
     Ok(())
 }

@@ -38,19 +38,6 @@ pub struct MappedNetlist {
 }
 
 impl MappedNetlist {
-    /// Instances that are flip-flops.
-    pub fn flip_flop_count(&self) -> usize {
-        self.instances
-            .iter()
-            .filter(|i| i.kind == CellKind::Dff)
-            .count()
-    }
-
-    /// Combinational instance count.
-    pub fn comb_count(&self) -> usize {
-        self.instances.len() - self.flip_flop_count()
-    }
-
     /// Fanout list per net: instance indices reading each net.
     pub fn fanouts(&self) -> Vec<Vec<usize>> {
         let mut fo = vec![Vec::new(); self.num_nets];
@@ -274,8 +261,13 @@ mod tests {
         logic.connect_ff(q, d);
         logic.add_output(q);
         let mapped = map_netlist(&logic).unwrap();
-        assert_eq!(mapped.flip_flop_count(), 1);
-        assert_eq!(mapped.comb_count(), 1);
+        let flip_flops = mapped
+            .instances
+            .iter()
+            .filter(|i| i.kind == CellKind::Dff)
+            .count();
+        assert_eq!(flip_flops, 1);
+        assert_eq!(mapped.instances.len() - flip_flops, 1);
     }
 
     #[test]

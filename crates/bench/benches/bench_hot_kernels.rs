@@ -185,9 +185,40 @@ fn bench_batched_forward(c: &mut Criterion) {
     group.finish();
 }
 
+/// A seeded system shaped like a cell's MNA matrix in the SPICE Newton
+/// loop: `nodes` rows with a conductance to ground (the capacitor
+/// companions), `tfts` linearized-TFT stamps coupling a random (drain,
+/// gate, source) triple, and `sources` voltage-source branches, each tying
+/// one of the first nodes to a row and column of +1 with a zero diagonal,
+/// so factoring it takes row swaps.
+fn mna_like_matrix(rng: &mut Xorshift, nodes: usize, sources: usize, tfts: usize) -> Matrix {
+    let n = nodes + sources;
+    let mut a = Matrix::zeros(n, n);
+    for i in 0..nodes {
+        a.add_at(i, i, rng.uniform_in(0.5, 1.0));
+    }
+    for _ in 0..tfts {
+        let pick = |rng: &mut Xorshift| (rng.uniform() * nodes as f64) as usize % nodes;
+        let (d, g, s) = (pick(rng), pick(rng), pick(rng));
+        let (gds, gm) = (rng.uniform_in(0.01, 1.0), rng.uniform_in(0.01, 1.0));
+        a.add_at(d, d, gds);
+        a.add_at(d, s, -gds - gm);
+        a.add_at(d, g, gm);
+        a.add_at(s, s, gds + gm);
+        a.add_at(s, d, -gds);
+        a.add_at(s, g, -gm);
+    }
+    for k in 0..sources {
+        a.add_at(k, nodes + k, 1.0);
+        a.add_at(nodes + k, k, 1.0);
+    }
+    a
+}
+
 fn bench_lu(c: &mut Criterion) {
-    // A DFF characterization bench stamps an MNA system of roughly this
-    // size every Newton iteration.
+    // The dense case: the compact fit's normal equations and the sweep
+    // GP's kernel matrix have no zeros, so the factorization runs the
+    // contiguous update at every step.
     const N: usize = 24;
     let mut rng = Xorshift::new(7);
     let mut a = random_matrix(&mut rng, N, N);
@@ -196,20 +227,29 @@ fn bench_lu(c: &mut Criterion) {
         a.set(i, i, off + 1.0);
     }
     let b_vec: Vec<f64> = (0..N).map(|_| rng.uniform_in(-1.0, 1.0)).collect();
+    // The SPICE case: the DFF's per-iteration system has 25 unknowns and
+    // 136 nonzeros, and skipping exactly-zero work leaves 971 of the dense
+    // elimination's 4,900 multiply-adds. This one (21 nodes, 4 sources, 34
+    // stamps, seed 4) also has 136 nonzeros and leaves 1,103.
+    let mna = mna_like_matrix(&mut Xorshift::new(4), 21, 4, 34);
 
-    let mut group = c.benchmark_group("lu_mna_24");
-    group.bench_function("factor_alloc", |b| {
+    let mut group = c.benchmark_group("lu");
+    group.bench_function("dense_24_factor_alloc", |b| {
         b.iter(|| a.lu_factor().expect("nonsingular"))
     });
-    group.bench_function("factor_into_reused", |b| {
+    group.bench_function("dense_24_factor_into_reused", |b| {
         let mut factors = LuFactors::default();
         b.iter(|| a.lu_factor_into(&mut factors).expect("nonsingular"))
     });
+    group.bench_function("mna_25_factor_into_reused", |b| {
+        let mut factors = LuFactors::default();
+        b.iter(|| mna.lu_factor_into(&mut factors).expect("nonsingular"))
+    });
     let factors = a.lu_factor().expect("nonsingular");
-    group.bench_function("solve_alloc", |b| {
+    group.bench_function("dense_24_solve_alloc", |b| {
         b.iter(|| factors.solve(&b_vec).expect("solves"))
     });
-    group.bench_function("solve_into_reused", |b| {
+    group.bench_function("dense_24_solve_into_reused", |b| {
         let mut x = Vec::new();
         b.iter(|| factors.solve_into(&b_vec, &mut x).expect("solves"))
     });

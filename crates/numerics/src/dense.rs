@@ -454,9 +454,11 @@ impl Matrix {
 
     /// Solves `self · x = b` by LU factorization with partial pivoting.
     ///
-    /// The receiver is copied; use [`Matrix::lu_factor`] to reuse a
-    /// factorization across multiple right-hand sides (the SPICE transient
-    /// loop does this).
+    /// The receiver is copied and the factors and solution are allocated
+    /// per call. Use [`Matrix::lu_factor`] to reuse a factorization across
+    /// right-hand sides, or [`Matrix::lu_factor_into`] and
+    /// [`LuFactors::solve_into`] to reuse the buffers across systems (the
+    /// SPICE Newton loop factors every iteration's system that way).
     ///
     /// # Errors
     ///
@@ -485,6 +487,24 @@ impl Matrix {
     /// The factor-once / solve-many workhorse of the SPICE Newton loop: no
     /// allocation once the factors have grown to the system size.
     ///
+    /// Gaussian elimination with partial pivoting that skips the work whose
+    /// result is known bit for bit. At step `k` the pivot row's nonzero
+    /// trailing columns are recorded. A row whose column-`k` entry is
+    /// exactly zero gets the multiplier `0.0 / pivot` and is otherwise left
+    /// alone; every other row is updated at the recorded columns only, or
+    /// through the contiguous loop when the pivot row has no zero (as in a
+    /// dense matrix). A skipped `a − f·(±0)` leaves `a` unchanged when `f`
+    /// is finite and `a` is not −0.0. So a step skips only when the input
+    /// holds no −0.0 (in round-to-nearest `a − p` is −0.0 only when `a` is,
+    /// so none ever reaches the trailing block) and its pivot row is
+    /// finite, and a row only when its multiplier is finite; anything else
+    /// runs the dense update. The pivot search and the per-entry update
+    /// order are the dense kernel's, so every input factors to its bits,
+    /// but for one case no solve can see: a signaling NaN input stays
+    /// signaling where the dense update would have quieted it, and the
+    /// solve's own arithmetic quiets it. An MNA system, which starts from
+    /// +0.0 and only adds, always skips.
+    ///
     /// # Errors
     ///
     /// Same as [`Matrix::lu_factor`]. On error the factors are left in an
@@ -502,8 +522,15 @@ impl Matrix {
         factors.lu.extend_from_slice(&self.data);
         factors.perm.clear();
         factors.perm.extend(0..n);
-        let lu = &mut factors.lu;
-        let perm = &mut factors.perm;
+        factors.cols.clear();
+        factors.cols.resize(n, 0);
+        // The OR of the bits of every zero entry is nonzero iff one is −0.0.
+        let neg_zero = self
+            .data
+            .iter()
+            .fold(0, |acc, &v| acc | if v == 0.0 { v.to_bits() } else { 0 });
+        let skippable = neg_zero == 0;
+        let LuFactors { lu, perm, cols, .. } = factors;
         for k in 0..n {
             // Partial pivoting: find the largest magnitude in column k.
             let mut p = k;
@@ -524,12 +551,36 @@ impl Matrix {
                 }
                 perm.swap(k, p);
             }
-            let pivot = lu[k * n + k];
-            for i in (k + 1)..n {
-                let factor = lu[i * n + k] / pivot;
-                lu[i * n + k] = factor;
-                for j in (k + 1)..n {
-                    lu[i * n + j] -= factor * lu[k * n + j];
+            let (upper, lower) = lu.split_at_mut((k + 1) * n);
+            let pivot = upper[k * n + k];
+            let urow = &upper[k * n + k + 1..];
+            // Record the pivot row's nonzero trailing columns.
+            let mut nnz = 0;
+            let mut finite = pivot.is_finite();
+            for (j, &u) in urow.iter().enumerate() {
+                finite &= u.is_finite();
+                cols[nnz] = j;
+                nnz += usize::from(u != 0.0);
+            }
+            let skip = skippable && finite;
+            let zero_factor = 0.0 / pivot;
+            for row in lower.chunks_exact_mut(n) {
+                let l = row[k];
+                if skip && l == 0.0 {
+                    row[k] = zero_factor;
+                    continue;
+                }
+                let factor = l / pivot;
+                row[k] = factor;
+                let trailing = &mut row[k + 1..];
+                if skip && nnz < urow.len() && factor.is_finite() {
+                    for &j in &cols[..nnz] {
+                        trailing[j] -= factor * urow[j];
+                    }
+                } else {
+                    for (a, &u) in trailing.iter_mut().zip(urow) {
+                        *a -= factor * u;
+                    }
                 }
             }
         }
@@ -555,6 +606,9 @@ pub struct LuFactors {
     n: usize,
     lu: Vec<f64>,
     perm: Vec<usize>,
+    /// Factorization scratch: the current pivot row's nonzero trailing
+    /// columns, kept so a warm workspace factors without allocating.
+    cols: Vec<usize>,
 }
 
 impl LuFactors {

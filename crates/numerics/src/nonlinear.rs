@@ -6,7 +6,7 @@
 //! characterizer's setup, hold and pulse-width searches drive
 //! [`bisect_threshold`].
 
-use crate::dense::{norm2, Matrix};
+use crate::dense::{norm2, LuFactors, Matrix};
 use crate::guard::{check_finite, check_finite_scalar};
 use crate::{NumericsError, Result};
 
@@ -96,6 +96,9 @@ where
     // and silently return the unfitted guess as a "solution".
     let mut cost = check_finite_scalar("lm.initial_cost", 0.5 * norm2(&r).powi(2))?;
     let mut lambda = opts.lambda0;
+    // One factorization and one step buffer serve every damping trial.
+    let mut factors = LuFactors::default();
+    let mut dp = Vec::new();
 
     for it in 1..=opts.max_iter {
         // Forward-difference Jacobian: J[i][j] = d r_i / d p_j.
@@ -125,22 +128,20 @@ where
         // Normal equations with LM damping: (JᵀJ + λ diag(JᵀJ)) dp = -Jᵀ r.
         let jt = jac.transpose();
         let jtj = jt.matmul(&jac);
-        let jtr = jt.matvec(&r);
+        let neg_jtr: Vec<f64> = jt.matvec(&r).iter().map(|v| -v).collect();
+        let mut a = jtj.clone();
         let mut improved = false;
         for _ in 0..12 {
-            let mut a = jtj.clone();
+            a.as_mut_slice().copy_from_slice(jtj.as_slice());
             for d in 0..np {
                 let diag = jtj.get(d, d).max(1e-12);
                 a.add_at(d, d, lambda * diag);
             }
-            let neg_jtr: Vec<f64> = jtr.iter().map(|v| -v).collect();
-            let dp = match a.lu_solve(&neg_jtr) {
-                Ok(dp) => dp,
-                Err(_) => {
-                    lambda *= 10.0;
-                    continue;
-                }
-            };
+            if a.lu_factor_into(&mut factors).is_err() {
+                lambda *= 10.0;
+                continue;
+            }
+            factors.solve_into(&neg_jtr, &mut dp)?;
             let mut trial = p.clone();
             for (ti, di) in trial.iter_mut().zip(&dp) {
                 *ti += di;

@@ -3,12 +3,168 @@
 //! inputs.
 
 use proptest::prelude::*;
-use stco_numerics::dense::{norm2, Matrix};
+use stco_numerics::dense::{dot, norm2, LuFactors, Matrix};
 use stco_numerics::gemm::BLOCK_MIN_FLOPS;
 use stco_numerics::interp::Bilinear;
+use stco_numerics::rng::Xorshift;
 use stco_numerics::solve::{bicgstab, IterOptions};
 use stco_numerics::sparse::CsrMatrix;
 use stco_numerics::stats;
+use stco_numerics::NumericsError;
+
+/// The dense elimination `Matrix::lu_factor_into` ran before it skipped
+/// exactly-zero work, kept as the oracle of the zero-skipping kernel:
+/// the packed factors and the row permutation, or the step whose pivot
+/// broke down.
+fn reference_lu_factor(a: &[f64], n: usize) -> Result<(Vec<f64>, Vec<usize>), usize> {
+    let mut lu = a.to_vec();
+    let mut perm: Vec<usize> = (0..n).collect();
+    for k in 0..n {
+        let mut p = k;
+        let mut max = lu[k * n + k].abs();
+        for i in (k + 1)..n {
+            let v = lu[i * n + k].abs();
+            if v > max {
+                max = v;
+                p = i;
+            }
+        }
+        if max < 1e-300 {
+            return Err(k);
+        }
+        if p != k {
+            for j in 0..n {
+                lu.swap(k * n + j, p * n + j);
+            }
+            perm.swap(k, p);
+        }
+        let pivot = lu[k * n + k];
+        for i in (k + 1)..n {
+            let factor = lu[i * n + k] / pivot;
+            lu[i * n + k] = factor;
+            for j in (k + 1)..n {
+                lu[i * n + j] -= factor * lu[k * n + j];
+            }
+        }
+    }
+    Ok((lu, perm))
+}
+
+/// The substitutions of `LuFactors::solve_into` over the oracle's factors.
+fn reference_solve(lu: &[f64], perm: &[usize], b: &[f64]) -> Vec<f64> {
+    let n = perm.len();
+    let mut x: Vec<f64> = perm.iter().map(|&p| b[p]).collect();
+    for i in 1..n {
+        let s = dot(&lu[i * n..i * n + i], &x[..i]);
+        x[i] -= s;
+    }
+    for i in (0..n).rev() {
+        let s = dot(&lu[i * n + i + 1..i * n + n], &x[i + 1..n]);
+        x[i] = (x[i] - s) / lu[i * n + i];
+    }
+    x
+}
+
+/// A NaN whose quiet bit is clear, which arithmetic returns quieted.
+const SIGNALING_NAN: f64 = f64::from_bits(0x7ff0_0000_0000_0001);
+
+/// A stamp value: on a dyadic grid (so that elimination cancels entries
+/// to exact zero) or, when `dyadic` is off, any magnitude in [0.01, 10).
+fn stamp_value(rng: &mut Xorshift, dyadic: bool) -> f64 {
+    if dyadic {
+        (1 + rng.gen_range(8)) as f64 * 2f64.powi(rng.gen_range(5) as i32 - 2)
+    } else {
+        rng.uniform_in(0.01, 10.0)
+    }
+}
+
+/// An MNA-shaped `n × n` system with `n` in 1..=30, stamped the way
+/// `stco_spice` stamps one: each node gets a positive conductance to
+/// ground, node pairs get symmetric conductances and a few get
+/// transconductances, and each voltage source adds ±1 to a row and a
+/// column of its own whose diagonal stays zero, which forces row swaps.
+/// Some cases then scale part of one row into another (entries that
+/// cancel to exact zero during elimination), and some plant −0.0, ±∞,
+/// a quiet or signaling NaN, or a column whose pivot falls below 1e-300.
+fn mna_system(rng: &mut Xorshift) -> (usize, Vec<f64>) {
+    let sources = rng.gen_range(6);
+    let nodes = (rng.gen_range(26)).max(usize::from(sources == 0));
+    let n = nodes + sources;
+    let dyadic = rng.chance(0.5);
+    let mut m = vec![0.0; n * n];
+    for a in 0..nodes {
+        m[a * n + a] += stamp_value(rng, dyadic);
+    }
+    if nodes >= 2 {
+        for _ in 0..rng.gen_range(2 * nodes) {
+            let (a, b) = (rng.gen_range(nodes), rng.gen_range(nodes));
+            if a == b {
+                continue;
+            }
+            let g = stamp_value(rng, dyadic);
+            m[a * n + a] += g;
+            m[b * n + b] += g;
+            m[a * n + b] -= g;
+            m[b * n + a] -= g;
+        }
+        for _ in 0..rng.gen_range(nodes) {
+            let (a, b) = (rng.gen_range(nodes), rng.gen_range(nodes));
+            let (c, d) = (rng.gen_range(nodes), rng.gen_range(nodes));
+            let gm = stamp_value(rng, dyadic);
+            m[a * n + c] += gm;
+            m[a * n + d] -= gm;
+            m[b * n + c] -= gm;
+            m[b * n + d] += gm;
+        }
+    }
+    for s in 0..sources {
+        let branch = nodes + s;
+        if nodes > 0 {
+            let a = rng.gen_range(nodes);
+            m[a * n + branch] += 1.0;
+            m[branch * n + a] += 1.0;
+            if nodes > 1 && rng.chance(0.5) {
+                let b = (a + 1 + rng.gen_range(nodes - 1)) % nodes;
+                m[b * n + branch] -= 1.0;
+                m[branch * n + b] -= 1.0;
+            }
+        }
+    }
+    if n >= 2 && rng.chance(0.3) {
+        let (from, to) = (rng.gen_range(n), rng.gen_range(n));
+        let scale = if rng.chance(0.5) { 2.0 } else { -0.5 };
+        for j in 0..n {
+            // Zeros stay +0.0: a −0.0 turns skipping off altogether.
+            if rng.chance(0.5) && m[from * n + j] != 0.0 {
+                m[to * n + j] = scale * m[from * n + j];
+            }
+        }
+    }
+    // One kind of special value per case, so that a −0.0 (which turns
+    // skipping off for the whole factorization) does not hide an ∞.
+    let planted = match rng.gen_range(8) {
+        0 | 1 => Some(-0.0),
+        2 => Some(f64::INFINITY),
+        3 => Some(f64::NEG_INFINITY),
+        4 => Some([f64::NAN, SIGNALING_NAN][rng.gen_range(2)]),
+        5 => {
+            let c = rng.gen_range(n);
+            for i in 0..n {
+                m[i * n + c] = 0.0;
+            }
+            let tiny = [1e-301, 2e-300, 5e-324][rng.gen_range(3)];
+            m[c * n + c] = if rng.chance(0.5) { tiny } else { -tiny };
+            None
+        }
+        _ => None,
+    };
+    if let Some(v) = planted {
+        for _ in 0..1 + rng.gen_range(6) {
+            m[rng.gen_range(n * n)] = v;
+        }
+    }
+    (n, m)
+}
 
 /// Strategy: a strictly diagonally dominant matrix (always nonsingular,
 /// and friendly to every solver in the crate).
@@ -298,5 +454,60 @@ proptest! {
         let m2 = stats::mape(&scaled_p, &scaled_t, 0.0).expect("defined");
         prop_assert!((m1 - m2).abs() < 1e-9);
         prop_assert!((m1 - 10.0).abs() < 1e-9);
+    }
+}
+
+/// Bits of every entry, so that −0.0 and NaN payloads compare too.
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn zero_skipping_lu_bitwise_matches_dense_oracle(seed in 1u64..u64::MAX) {
+        let mut rng = Xorshift::new(seed);
+        // A different system first, so the factorization under test reuses
+        // buffers that a larger or smaller one (or a failed one) left.
+        let (warm_n, warm) = mna_system(&mut rng);
+        let mut factors = LuFactors::default();
+        let _ = Matrix::from_vec(warm_n, warm_n, warm).lu_factor_into(&mut factors);
+
+        let (n, m) = mna_system(&mut rng);
+        let got = Matrix::from_vec(n, n, m.clone()).lu_factor_into(&mut factors);
+        let (lu, perm) = match reference_lu_factor(&m, n) {
+            Err(pivot) => {
+                prop_assert!(
+                    matches!(got, Err(NumericsError::SingularMatrix { pivot: p }) if p == pivot),
+                    "oracle breaks down at pivot {pivot}, kernel returned {got:?}"
+                );
+                return Ok(());
+            }
+            Ok(reference) => reference,
+        };
+        prop_assert!(got.is_ok(), "oracle factors, kernel returned {got:?}");
+        let mut x = Vec::new();
+        let mut check = |b: &[f64]| -> Result<(), TestCaseError> {
+            factors.solve_into(b, &mut x).expect("square system");
+            prop_assert_eq!(bits(&x), bits(&reference_solve(&lu, &perm, b)), "rhs {:?}", b);
+            Ok(())
+        };
+        // Each unit vector, and its negation, whose zeros are −0.0.
+        for i in 0..n {
+            let mut e = vec![0.0; n];
+            e[i] = 1.0;
+            check(&e)?;
+            let neg: Vec<f64> = e.iter().map(|v| -v).collect();
+            check(&neg)?;
+        }
+        let b: Vec<f64> = (0..n)
+            .map(|_| match rng.gen_range(4) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.uniform_in(-10.0, 10.0),
+            })
+            .collect();
+        check(&b)?;
     }
 }

@@ -602,17 +602,25 @@ impl WindowedHistogram {
     }
 }
 
+/// The R10 preferred numbers (1, 1.25, 1.6, 2, 2.5, 3.15, 4, 5, 6.3, 8),
+/// in hundredths: ten roughly equal log steps per decade.
+const R10_HUNDREDTHS: [u32; 10] = [100, 125, 160, 200, 250, 315, 400, 500, 630, 800];
+
 /// Log-spaced seconds buckets (1 µs … 1000 s), the default for
-/// `*_seconds` histograms.
+/// `*_seconds` histograms: the R10 series in each decade, closed by
+/// 1000 s. Adjacent bounds sit 25–28% apart, so a quantile read at a
+/// bucket top overstates its value by at most that. Each bound is the
+/// nearest f64 to its decimal value.
 pub fn seconds_buckets() -> Vec<f64> {
-    let mut out = Vec::new();
-    let mut b = 1e-6;
-    while b <= 1.0e3 + 1e-9 {
-        out.push(b);
-        out.push(b * 2.5);
-        out.push(b * 5.0);
-        b *= 10.0;
+    let mut out = Vec::with_capacity(9 * R10_HUNDREDTHS.len() + 1);
+    // Pass k fills the decade that starts at 10^(2-k) s: 1 µs at k = 8,
+    // 100 s at k = 0. Powers of ten up to 1e22 are exact in f64, so each
+    // bound is one correctly rounded division of exact operands.
+    for k in (0..=8).rev() {
+        let scale = (0..k).fold(1.0, |p, _| p * 10.0);
+        out.extend(R10_HUNDREDTHS.map(|h| f64::from(h) / scale));
     }
+    out.push(1.0e3);
     out
 }
 
@@ -914,6 +922,33 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn seconds_buckets_are_r10_over_1us_to_1000s() {
+        let b = seconds_buckets();
+        assert!(b.windows(2).all(|w| w[0] < w[1]), "strictly increasing");
+        assert_eq!(
+            (b.first().copied(), b.last().copied()),
+            (Some(1e-6), Some(1e3))
+        );
+        for decade in [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2] {
+            let inside = b.iter().filter(|&&v| v >= decade && v < decade * 10.0);
+            assert_eq!(inside.count(), 10, "decade {decade:e}");
+        }
+        let mantissas = ["1", "1.25", "1.6", "2", "2.5", "3.15", "4", "5", "6.3", "8"];
+        let decimals: Vec<String> = (-6..=2)
+            .flat_map(|e| mantissas.iter().map(move |m| format!("{m}e{e}")))
+            .chain(std::iter::once("1e3".to_string()))
+            .collect();
+        assert_eq!(b.len(), decimals.len());
+        for (got, text) in b.iter().zip(&decimals) {
+            assert_eq!(
+                Ok(*got),
+                text.parse::<f64>(),
+                "{text} is not the nearest f64"
+            );
+        }
+    }
 
     #[test]
     fn counters_and_gauges_roundtrip() {

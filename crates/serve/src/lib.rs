@@ -10,9 +10,12 @@
 //!   micro-batching queue drained by its own worker. Requests route to
 //!   shards by consistent hashing over the model id (the stco-store
 //!   content address), so same-model traffic lands on the same shard
-//!   and keeps `predict_batch` grouping dense. Concurrent requests
-//!   coalesce (up to [`BatchConfig::max_batch`], or until the oldest
-//!   waits [`BatchConfig::max_linger`]) into one batched forward pass
+//!   and keeps `predict_batch` grouping dense. Batching is
+//!   work-conserving: a free worker drains whatever is queued (up to
+//!   [`BatchConfig::max_batch`]) at once, and requests that arrive
+//!   during a forward coalesce into the next batch. A positive
+//!   [`BatchConfig::max_linger`] is opt-in and holds a partial batch
+//!   that long for fuller batches. Each batch is one forward pass
 //!   executed on the [`stco_par`] pool: a model's valid requests run as
 //!   one packed `predict_batch`, and each reply is bitwise-identical to
 //!   a serial `predict_many` call on the request alone. Admission

@@ -14,17 +14,22 @@
 //!
 //! # Batching policy
 //!
-//! Requests enqueue into their shard's bounded queue. The shard worker
-//! drains a batch when either (a) [`BatchConfig::max_batch`] requests
-//! are waiting, or (b) the *oldest* waiting request has lingered
-//! [`BatchConfig::max_linger`] — so a lone request pays at most the
-//! linger, and a burst fills batches immediately. Within a batch, a
-//! request that fails [`PredictInput::validate`] is answered
-//! [`ServeError::BadInput`], and the valid requests for one model run as
-//! one packed [`CellModel::predict_batch`]; the per-model groups run as
-//! one [`stco_par::par_map`]. Each reply is bitwise-identical to a
-//! serial [`CellModel::predict_many`] call on the request alone, at
-//! every thread count.
+//! Requests enqueue into their shard's bounded queue. Batching is
+//! **work-conserving** by default: a shard worker that finds requests
+//! queued drains up to [`BatchConfig::max_batch`] of them at once, and
+//! the requests that arrive during that batch's forward pass form the
+//! next one. A lone request pays for its forward pass and for no timer,
+//! while a burst still fills batches. A positive
+//! [`BatchConfig::max_linger`] is opt-in: the worker then holds a
+//! partial batch until the *oldest* waiting request has lingered that
+//! long (a full batch, a draining shard and a shutting-down shard drain
+//! at once). Within a batch, a request that fails
+//! [`PredictInput::validate`] is answered [`ServeError::BadInput`], and
+//! the valid requests for one model run as one packed
+//! [`CellModel::predict_batch`]; the per-model groups run as one
+//! [`stco_par::par_map`]. Each reply is bitwise-identical to a serial
+//! [`CellModel::predict_many`] call on the request alone, at every
+//! thread count and batch size.
 //!
 //! # Admission control, backpressure and deadlines
 //!
@@ -94,7 +99,11 @@ const TRACE_SAMPLE_N: u64 = 64;
 pub struct BatchConfig {
     /// Largest batch one worker pass executes.
     pub max_batch: usize,
-    /// Longest the oldest request may wait before a partial batch runs.
+    /// How long a partial batch is held for more requests, measured
+    /// from its oldest request's enqueue. Zero (the default) is
+    /// work-conserving: a worker drains whatever is queued as soon as it
+    /// is free. A positive linger trades that much latency for fuller
+    /// batches.
     pub max_linger: Duration,
     /// Per-shard queue bound; submits beyond it fail with `QueueFull`.
     pub max_pending: usize,
@@ -115,7 +124,7 @@ impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
             max_batch: 32,
-            max_linger: Duration::from_millis(1),
+            max_linger: Duration::ZERO,
             max_pending: 1024,
             slow_log_k: 8,
             shards: 0,
@@ -134,7 +143,8 @@ pub struct SlowRequest {
     pub trace_id: u64,
     /// Size of the batch this request executed in.
     pub batch_size: usize,
-    /// Time from enqueue to batch drain (queue wait + linger).
+    /// Time from enqueue to batch drain: waiting for the worker to
+    /// finish the batch ahead, plus any positive linger.
     pub queue_seconds: f64,
     /// Time spent assembling the drained batch for execution.
     pub assembly_seconds: f64,
@@ -761,8 +771,45 @@ impl Drop for ModelService {
     }
 }
 
+/// What a shard worker does next with its queue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Due {
+    /// Drain up to `max_batch` requests now.
+    Now,
+    /// Hold the partial batch for at most this long (an enqueue, drain
+    /// or shutdown wakes the worker sooner).
+    After(Duration),
+    /// Nothing is queued: sleep until woken.
+    Idle,
+}
+
+/// The batch-due rule, with the clock read by the caller. An empty queue
+/// never drains. A full batch, a draining shard and a shutting-down
+/// shard drain at once, and so does any queued request under a zero
+/// `max_linger` (work-conserving batching). A positive linger holds a
+/// partial batch until its oldest request has waited `max_linger`.
+fn batch_due(
+    queued: usize,
+    max_batch: usize,
+    oldest_wait: Duration,
+    max_linger: Duration,
+    draining: bool,
+    shutting_down: bool,
+) -> Due {
+    if queued == 0 {
+        return Due::Idle;
+    }
+    if queued >= max_batch || draining || shutting_down {
+        return Due::Now;
+    }
+    match max_linger.checked_sub(oldest_wait) {
+        Some(left) if !left.is_zero() => Due::After(left),
+        _ => Due::Now,
+    }
+}
+
 /// One shard's worker: waits for requests, forms batches under the
-/// size/linger policy, executes them on the stco-par pool.
+/// [`batch_due`] rule, executes them on the stco-par pool.
 fn worker_loop(shared: &Shared, shard_idx: usize) {
     let metrics = stco_obs::Recorder::global().metrics();
     let size_bounds: Vec<f64> = (1..=shared.batch.max_batch).map(|n| n as f64).collect();
@@ -781,36 +828,43 @@ fn worker_loop(shared: &Shared, shard_idx: usize) {
     let errors_counter = metrics.counter("serve.errors");
     let shard = &shared.shards[shard_idx];
     loop {
-        // Phase 1: wait until a batch is due (full, lingered, or draining).
+        // Phase 1: wait until a batch is due. Under the default zero
+        // linger that is as soon as anything is queued; only a positive
+        // linger sleeps on a timeout.
         let batch: Vec<Pending> = {
             let mut state = lock_state(shard);
             loop {
-                if state.queue.is_empty() {
-                    if state.shutting_down {
-                        return;
-                    }
-                    state = shard.cond.wait(state).unwrap_or_else(|e| e.into_inner());
-                    continue;
-                }
-                let full = state.queue.len() >= shared.batch.max_batch;
-                let oldest = state
+                let oldest_wait = state
                     .queue
                     .front()
-                    .map_or_else(Instant::now, |p| p.enqueued);
-                let due = oldest + shared.batch.max_linger;
-                let now = Instant::now();
-                if full || state.shutting_down || state.draining || now >= due {
-                    let take = state.queue.len().min(shared.batch.max_batch);
-                    let drained: Vec<Pending> = state.queue.drain(..take).collect();
-                    state.busy = true;
-                    shard.depth.store(state.queue.len(), Ordering::Relaxed);
-                    break drained;
+                    .map_or(Duration::ZERO, |p| p.enqueued.elapsed());
+                match batch_due(
+                    state.queue.len(),
+                    shared.batch.max_batch,
+                    oldest_wait,
+                    shared.batch.max_linger,
+                    state.draining,
+                    state.shutting_down,
+                ) {
+                    Due::Now => {
+                        let take = state.queue.len().min(shared.batch.max_batch);
+                        let drained: Vec<Pending> = state.queue.drain(..take).collect();
+                        state.busy = true;
+                        shard.depth.store(state.queue.len(), Ordering::Relaxed);
+                        break drained;
+                    }
+                    Due::After(left) => {
+                        state = shard
+                            .cond
+                            .wait_timeout(state, left)
+                            .unwrap_or_else(|e| e.into_inner())
+                            .0;
+                    }
+                    Due::Idle if state.shutting_down => return,
+                    Due::Idle => {
+                        state = shard.cond.wait(state).unwrap_or_else(|e| e.into_inner());
+                    }
                 }
-                let (next, _timeout) = shard
-                    .cond
-                    .wait_timeout(state, due - now)
-                    .unwrap_or_else(|e| e.into_inner());
-                state = next;
             }
         };
         update_depth_gauges(shared);
@@ -950,4 +1004,78 @@ fn forward_batch(work: &[(Arc<CellModel>, PredictInput)]) -> Vec<Result<Vec<f64>
         }
     }
     results
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const MS: Duration = Duration::from_millis(1);
+
+    #[test]
+    fn default_batching_is_work_conserving() {
+        assert_eq!(BatchConfig::default().max_linger, Duration::ZERO);
+    }
+
+    #[test]
+    fn zero_linger_drains_a_partial_batch_at_once() {
+        for queued in [1, 5, 31] {
+            assert_eq!(
+                batch_due(queued, 32, Duration::ZERO, Duration::ZERO, false, false),
+                Due::Now,
+                "{queued} queued"
+            );
+        }
+    }
+
+    #[test]
+    fn positive_linger_holds_a_partial_batch_until_the_oldest_has_waited_it() {
+        assert_eq!(
+            batch_due(3, 32, Duration::ZERO, 5 * MS, false, false),
+            Due::After(5 * MS)
+        );
+        assert_eq!(
+            batch_due(3, 32, 2 * MS, 5 * MS, false, false),
+            Due::After(3 * MS)
+        );
+        assert_eq!(batch_due(3, 32, 5 * MS, 5 * MS, false, false), Due::Now);
+        assert_eq!(batch_due(3, 32, 9 * MS, 5 * MS, false, false), Due::Now);
+    }
+
+    #[test]
+    fn full_draining_and_shutting_down_shards_drain_at_once() {
+        let linger = Duration::from_secs(5);
+        assert_eq!(
+            batch_due(32, 32, Duration::ZERO, linger, false, false),
+            Due::Now
+        );
+        assert_eq!(
+            batch_due(40, 32, Duration::ZERO, linger, false, false),
+            Due::Now
+        );
+        assert_eq!(
+            batch_due(1, 32, Duration::ZERO, linger, true, false),
+            Due::Now
+        );
+        assert_eq!(
+            batch_due(1, 32, Duration::ZERO, linger, false, true),
+            Due::Now
+        );
+    }
+
+    #[test]
+    fn an_empty_queue_never_drains() {
+        for linger in [Duration::ZERO, 5 * MS] {
+            for (draining, shutting_down) in [(false, false), (true, false), (false, true)] {
+                assert_eq!(
+                    batch_due(0, 32, 9 * MS, linger, draining, shutting_down),
+                    Due::Idle
+                );
+            }
+        }
+        assert_eq!(
+            batch_due(0, 0, Duration::ZERO, Duration::ZERO, false, false),
+            Due::Idle
+        );
+    }
 }
